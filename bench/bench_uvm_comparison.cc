@@ -12,9 +12,14 @@
  * and demonstrates the one capability UVM keeps over UPM: device
  * memory overcommit (UVM thrashes but completes; UPM runs out of
  * physical memory).
+ *
+ * --json writes the explicit / UVM / UPM times per update fraction and
+ * the overcommit run's UVM time and eviction count; CI compares them
+ * with bench/baselines/uvm_comparison.json.
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 #include "core/system.hh"
@@ -91,6 +96,7 @@ main(int argc, char **argv)
     setQuiet(true);
     bench::banner("Sections 1/2.1 (motivation)",
                   "UVM (discrete) vs explicit (discrete) vs UPM");
+    bench::JsonReporter report("uvm_comparison", opt.jsonPath);
 
     std::printf("%-22s %12s %12s %12s %10s\n", "CPU update/iter",
                 "explicit", "UVM", "UPM", "UVM/expl");
@@ -98,6 +104,12 @@ main(int argc, char **argv)
         SimTime e = discreteExplicit(frac);
         SimTime v = discreteUvm(frac, 8 * GiB);
         SimTime u = upmUnified(frac);
+        report.point()
+            .param("sweep", std::string("update"))
+            .param("update_pct", static_cast<std::uint64_t>(frac * 100))
+            .metric("explicit_ns", e)
+            .metric("uvm_ns", v)
+            .metric("upm_ns", u);
         std::printf("%-22s %10.1fms %10.1fms %10.1fms %9.1fx\n",
                     frac == 1.0 ? "full array" : "10% of array",
                     e / 1e6, v / 1e6, u / 1e6, v / e);
@@ -111,6 +123,11 @@ main(int argc, char **argv)
         SimTime t = 0.0;
         for (unsigned i = 0; i < 4; ++i)
             t += sim.gpuAccess(h, 0, kArray);
+        report.point()
+            .param("sweep", std::string("overcommit"))
+            .param("working_set_pct", static_cast<std::uint64_t>(150))
+            .metric("uvm_ns", t)
+            .metric("evictions", sim.evictions());
         std::printf("  UVM: completes in %.1f ms with %llu evictions "
                     "(thrashing: every pass refaults)\n",
                     t / 1e6,
@@ -128,6 +145,7 @@ main(int argc, char **argv)
                         "-- the paper's Section 2.1 caveat)\n");
         }
     }
+    report.write();
     bench::captureTrace(opt, {}, [](core::System &sys) {
         auto &rt = sys.runtime();
         hip::DevPtr u = rt.hipMalloc(16 * MiB);

@@ -22,22 +22,50 @@
  * the oldest stamp -- exactly what the explicit tie-break picks. The
  * differential tests in tests/policy_diff_test.cc pin both this and
  * the slow reference-model oracle for every variant.
+ *
+ * Data structures. Every policy keeps its per-page nodes in
+ * PageNodes (page_index.hh): a dense node vector under a flat
+ * open-addressing PageKey index of 4-byte node ids. The order lives
+ * inside the nodes as intrusive links, so no operation allocates once
+ * the tables reach their working size:
+ *
+ *  - LRU: one doubly linked list in (stamp asc, key asc) order; the
+ *    head is the victim.
+ *  - LFU: one such list per access frequency, the non-empty lists
+ *    chained in ascending frequency; the first list holds the
+ *    minimum frequency and its head is the victim.
+ *  - Random: the swap-remove id array the draw indexes.
+ *  - Predictive: never-reused pages (all tied at the infinite
+ *    prediction) in one stamp-ordered list; reused pages in an
+ *    indexed binary min-heap on (~predicted, stamp, key).
+ *
+ * Sorted lists insert by walking back from the tail past every node
+ * that orders after the new one. The owning simulators stamp with a
+ * non-decreasing tick and touch the pages of one call in ascending
+ * order, so the walk stops at once; when several keys share a tick,
+ * or a caller passes a decreasing tick, the walk still yields the
+ * exact (stamp, key) order the tie-break rules define.
  */
 
 #ifndef UPM_POLICY_EVICTION_HH
 #define UPM_POLICY_EVICTION_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
+#include "policy/page_index.hh"
 #include "policy/policy.hh"
 
 namespace upm::policy {
+
+/** Ends of an intrusive doubly linked list of PageNodes ids. */
+struct StampList
+{
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+};
 
 /**
  * Victim selection interface. Implementations are single-threaded
@@ -89,15 +117,21 @@ class LruEviction : public EvictionPolicy
     std::uint64_t size() const override { return pages.size(); }
     bool contains(PageKey key) const override
     {
-        return pages.count(key) != 0;
+        return pages.find(key) != kNil;
     }
     EvictionKind kind() const override { return EvictionKind::Lru; }
 
   private:
-    /** (last-access stamp, key), ordered ascending: begin() is the
-     *  victim. */
-    std::set<std::tuple<std::uint64_t, PageKey>> order;
-    std::map<PageKey, std::uint64_t> pages;  //!< key -> stamp
+    struct Node
+    {
+        PageKey key;
+        std::uint64_t stamp = 0;  //!< last access
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
+    };
+    PageNodes<Node> pages;
+    /** (stamp, key) ascending: the head is the victim. */
+    StampList order;
 };
 
 /**
@@ -114,28 +148,49 @@ class LfuEviction : public EvictionPolicy
     std::uint64_t size() const override { return pages.size(); }
     bool contains(PageKey key) const override
     {
-        return pages.count(key) != 0;
+        return pages.find(key) != kNil;
     }
     EvictionKind kind() const override { return EvictionKind::Lfu; }
 
   private:
     struct Node
     {
-        std::uint64_t freq = 0;
+        PageKey key;
         std::uint64_t stamp = 0;
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
+        std::uint32_t bucket = kNil;  //!< frequency bucket id
     };
-    /** (freq, stamp, key) ascending: begin() is the victim. */
-    std::set<std::tuple<std::uint64_t, std::uint64_t, PageKey>> order;
-    std::map<PageKey, Node> pages;
+    /** The pages of one access frequency, in (stamp, key) order. */
+    struct Bucket
+    {
+        std::uint64_t freq = 0;
+        StampList pages;
+        std::uint32_t prev = kNil;  //!< next-lower frequency
+        std::uint32_t next = kNil;  //!< next-higher frequency
+    };
+    /** The bucket of frequency @p freq directly after bucket @p after
+     *  (kNil: the front of the chain), created when absent. */
+    std::uint32_t bucketAfter(std::uint32_t after, std::uint64_t freq);
+    /** Unlink @p id from its bucket; drop the bucket when it empties. */
+    void leaveBucket(std::uint32_t id);
+
+    PageNodes<Node> pages;
+    std::vector<Bucket> buckets;
+    std::vector<std::uint32_t> freeBuckets;
+    /** Lowest-frequency bucket; its list head is the victim. */
+    std::uint32_t minBucket = kNil;
 };
 
 /**
  * Seeded-random: victim = uniform SplitMix64 draw over the tracked
- * keys, held in a swap-remove vector (the standard O(1) random-
- * eviction structure). The vector's order -- and therefore the victim
- * sequence -- is a pure function of the insert/remove/evict stream
- * and the seed, never of container internals; two policies built with
- * the same seed and fed the same stream pick the same victims.
+ * pages, held as node ids in a swap-remove vector (the standard O(1)
+ * random-eviction structure); each node records its vector slot, and
+ * the PageNodes index finds the node of a key. The vector's order --
+ * and therefore the victim sequence -- is a pure function of the
+ * insert/remove/evict stream and the seed, never of container
+ * internals; two policies built with the same seed and fed the same
+ * stream pick the same victims.
  */
 class RandomEviction : public EvictionPolicy
 {
@@ -149,17 +204,22 @@ class RandomEviction : public EvictionPolicy
     std::uint64_t size() const override { return pages.size(); }
     bool contains(PageKey key) const override
     {
-        return pages.count(key) != 0;
+        return pages.find(key) != kNil;
     }
     EvictionKind kind() const override { return EvictionKind::Random; }
 
   private:
-    /** Drop slot @p slot by swapping the last key into it. */
-    void swapRemove(std::size_t slot);
+    struct Node
+    {
+        PageKey key;
+        std::uint64_t slot = 0;  //!< position in slots
+    };
+    /** Drop slot @p slot by swapping the last id into it. */
+    void swapRemove(std::uint64_t slot);
 
     SplitMix64 rng;
-    std::vector<PageKey> slots;
-    std::map<PageKey, std::size_t> pages;  //!< key -> slot index
+    PageNodes<Node> pages;
+    std::vector<std::uint32_t> slots;  //!< node ids, the draw's domain
 };
 
 /**
@@ -181,7 +241,7 @@ class PredictiveEviction : public EvictionPolicy
     std::uint64_t size() const override { return pages.size(); }
     bool contains(PageKey key) const override
     {
-        return pages.count(key) != 0;
+        return pages.find(key) != kNil;
     }
     EvictionKind kind() const override
     {
@@ -194,17 +254,32 @@ class PredictiveEviction : public EvictionPolicy
   private:
     struct Node
     {
+        PageKey key;
         std::uint64_t stamp = 0;
         /** EWMA inter-access gap; kNeverReused until the first
          *  re-touch. */
         std::uint64_t ewmaGap = kNeverReused;
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
+        std::uint32_t heapPos = kNil;  //!< kNil while in fresh
     };
     static std::uint64_t predictedNext(const Node &node);
-    /** (distance-descending key, stamp, key): begin() is the victim.
-     *  The first component stores ~predictedNext so the plain
-     *  ascending set order puts the furthest prediction first. */
-    std::set<std::tuple<std::uint64_t, std::uint64_t, PageKey>> order;
-    std::map<PageKey, Node> pages;
+    /** Victim order: (~predictedNext, stamp, key) ascending, so the
+     *  furthest prediction comes first. */
+    bool precedes(std::uint32_t a, std::uint32_t b) const;
+    /** Place node @p id in fresh or the heap, by its prediction. */
+    void attach(std::uint32_t id);
+    /** Take node @p id out of fresh or the heap. */
+    void detach(std::uint32_t id);
+    void siftUp(std::uint32_t pos);
+    void siftDown(std::uint32_t pos);
+    void heapSet(std::uint32_t pos, std::uint32_t id);
+
+    PageNodes<Node> pages;
+    /** Never-reused pages in (stamp, key) order. */
+    StampList fresh;
+    /** Min-heap of node ids under precedes(). */
+    std::vector<std::uint32_t> heap;
 };
 
 /** Build an eviction policy. @p seed feeds the seeded variants. */

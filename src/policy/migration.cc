@@ -1,20 +1,44 @@
 #include "policy/migration.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace upm::policy {
 
+HotColdMigration::Node *
+HotColdMigration::findLive(PageKey key)
+{
+    std::uint32_t id = index.find(key, keyOf());
+    if (id == kNil || !nodes[id].live)
+        return nullptr;
+    return &nodes[id];
+}
+
 void
 HotColdMigration::onResident(PageKey key, Tier tier)
 {
-    auto [it, fresh] = pages.emplace(key, Node{tier, 0, 0});
-    if (!fresh) {
-        if (it->second.tier == tier)
+    std::uint32_t id = index.find(key, keyOf());
+    if (id != kNil && nodes[id].live) {
+        Node &node = nodes[id];
+        if (node.tier == tier)
             return;  // re-report in place; nothing moved
-        if (it->second.tier == Tier::Fast)
+        if (node.tier == Tier::Fast)
             --fastCount;
-        it->second.tier = tier;
-        it->second.accesses = 0;
+        node.tier = tier;
+        node.accesses = 0;
+    } else if (id != kNil) {
+        nodes[id] = Node{key, 0, 0, tier, true};  // revive in place
+        ++liveCount;
+    } else {
+        if (nodes.size() - liveCount > liveCount)
+            normalise();
+        if (!nodes.empty() && key < nodes.back().key)
+            sorted = false;
+        nodes.push_back(Node{key, 0, 0, tier, true});
+        index.insert(key, static_cast<std::uint32_t>(nodes.size() - 1),
+                     keyOf());
+        ++liveCount;
     }
     if (tier == Tier::Fast)
         ++fastCount;
@@ -25,42 +49,62 @@ HotColdMigration::onRemove(PageKey key)
 {
     // Untracked keys are tolerated: callers may report removals for
     // pages that predate the engine being wired.
-    auto it = pages.find(key);
-    if (it == pages.end())
+    Node *node = findLive(key);
+    if (node == nullptr)
         return;
-    if (it->second.tier == Tier::Fast)
+    if (node->tier == Tier::Fast)
         --fastCount;
-    pages.erase(it);
+    node->live = false;
+    --liveCount;
 }
 
 void
 HotColdMigration::onAccess(PageKey key, std::uint64_t tick)
 {
-    auto it = pages.find(key);
-    if (it == pages.end())
+    Node *node = findLive(key);
+    if (node == nullptr)
         return;
-    ++it->second.accesses;
-    it->second.lastTick = tick;
+    ++node->accesses;
+    node->lastTick = tick;
+}
+
+void
+HotColdMigration::normalise()
+{
+    std::erase_if(nodes, [](const Node &n) { return !n.live; });
+    if (!sorted) {
+        std::sort(nodes.begin(), nodes.end(),
+                  [](const Node &a, const Node &b) {
+                      return a.key < b.key;
+                  });
+        sorted = true;
+    }
+    index.clear();
+    for (std::uint32_t i = 0; i < nodes.size(); ++i)
+        index.insert(nodes[i].key, i, keyOf());
 }
 
 std::vector<MigrationAction>
 HotColdMigration::decide(std::uint64_t tick)
 {
+    if (!sorted || nodes.size() - liveCount > liveCount)
+        normalise();
     std::vector<MigrationAction> actions;
     // Promotions first: the fast tier is where accesses are cheap, so
     // hot pages take priority over housekeeping demotions.
-    for (const auto &[key, node] : pages) {
+    for (const Node &node : nodes) {
         if (actions.size() >= cfg.maxMovesPerStep)
             return actions;
-        if (node.tier == Tier::Slow && node.accesses >= cfg.hotThreshold)
-            actions.push_back({key, Tier::Fast});
+        if (node.live && node.tier == Tier::Slow &&
+            node.accesses >= cfg.hotThreshold)
+            actions.push_back({node.key, Tier::Fast});
     }
-    for (const auto &[key, node] : pages) {
+    for (const Node &node : nodes) {
         if (actions.size() >= cfg.maxMovesPerStep)
             return actions;
-        if (node.tier == Tier::Fast &&
+        if (node.live && node.tier == Tier::Fast &&
             tick - node.lastTick >= cfg.coldTicks)
-            actions.push_back({key, Tier::Slow});
+            actions.push_back({node.key, Tier::Slow});
     }
     return actions;
 }
@@ -68,7 +112,7 @@ HotColdMigration::decide(std::uint64_t tick)
 std::uint64_t
 HotColdMigration::residentIn(Tier tier) const
 {
-    return tier == Tier::Fast ? fastCount : pages.size() - fastCount;
+    return tier == Tier::Fast ? fastCount : liveCount - fastCount;
 }
 
 std::unique_ptr<MigrationPolicy>

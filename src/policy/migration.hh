@@ -13,16 +13,25 @@
  * applies each action to its residency structures and reports the
  * move back, so policy bookkeeping and simulator state cannot drift
  * (the migration-invariant property tests check exactly this).
+ *
+ * HotColdMigration keeps one node per tracked page in a key-sorted
+ * vector and finds a key's node through a PageIndex (page_index.hh),
+ * so decide() is a linear scan and the per-access callbacks are one
+ * index probe. A removed page leaves a dead node behind, which its
+ * re-insert revives in place -- the remove-then-re-add cycle every
+ * uvm eviction reports keeps the vector sorted. Only a genuinely new
+ * key below the current last one breaks the order; decide() then
+ * re-sorts once, and drops dead nodes when they outnumber live ones.
  */
 
 #ifndef UPM_POLICY_MIGRATION_HH
 #define UPM_POLICY_MIGRATION_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
+#include "policy/page_index.hh"
 #include "policy/policy.hh"
 
 namespace upm::policy {
@@ -117,15 +126,31 @@ class HotColdMigration : public MigrationPolicy
   private:
     struct Node
     {
-        Tier tier = Tier::Slow;
+        PageKey key;
         /** Accesses since the page last changed tier. */
         std::uint64_t accesses = 0;
         std::uint64_t lastTick = 0;
+        Tier tier = Tier::Slow;
+        bool live = true;  //!< false: removed, awaiting revival or drop
     };
 
+    auto
+    keyOf() const
+    {
+        return [this](std::uint32_t i) { return nodes[i].key; };
+    }
+    /** Live node of @p key, or nullptr. */
+    Node *findLive(PageKey key);
+    /** Drop dead nodes and restore key order; rebuilds the index. */
+    void normalise();
+
     MigrationConfig cfg;
-    std::map<PageKey, Node> pages;
+    /** Key-sorted unless `sorted` is false; dead nodes interleaved. */
+    std::vector<Node> nodes;
+    PageIndex index;  //!< key -> position in nodes, dead ones included
+    std::uint64_t liveCount = 0;
     std::uint64_t fastCount = 0;
+    bool sorted = true;
 };
 
 /** Build a migration policy. */

@@ -60,6 +60,15 @@ UvmSimulator::freeManaged(std::uint64_t handle)
     regions.erase(it);
 }
 
+std::uint64_t
+UvmSimulator::pageEnd(std::uint64_t offset, std::uint64_t bytes)
+{
+    // A zero-byte access names no page, aligned or not.
+    if (bytes == 0)
+        return offset / mem::kPageSize;
+    return ceilDiv(offset + bytes, mem::kPageSize);
+}
+
 SimTime
 UvmSimulator::migrationTime(std::uint64_t pages) const
 {
@@ -124,7 +133,7 @@ UvmSimulator::gpuAccess(std::uint64_t handle, std::uint64_t offset,
         panic("GPU access to unknown managed region");
     Region &region = it->second;
     std::uint64_t first = offset / mem::kPageSize;
-    std::uint64_t last = ceilDiv(offset + bytes, mem::kPageSize);
+    std::uint64_t last = pageEnd(offset, bytes);
     if (last > region.pages)
         fatal("GPU access beyond managed region");
 
@@ -156,7 +165,7 @@ UvmSimulator::cpuAccess(std::uint64_t handle, std::uint64_t offset,
         panic("CPU access to unknown managed region");
     Region &region = it->second;
     std::uint64_t first = offset / mem::kPageSize;
-    std::uint64_t last = ceilDiv(offset + bytes, mem::kPageSize);
+    std::uint64_t last = pageEnd(offset, bytes);
     if (last > region.pages)
         fatal("CPU access beyond managed region");
 

@@ -146,6 +146,9 @@ class UvmSimulator
         std::vector<Residency> residency;
     };
 
+    /** One past the last page of [offset, offset+bytes); a zero-byte
+     *  range ends where it starts. */
+    static std::uint64_t pageEnd(std::uint64_t offset, std::uint64_t bytes);
     /** Migration cost of @p pages pages (batched faults + link). */
     SimTime migrationTime(std::uint64_t pages) const;
     /** Evict the policy's victim (a page must be resident). */

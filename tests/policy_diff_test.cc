@@ -18,6 +18,14 @@
  *     UvmSimulator. Every simulated time and counter must be
  *     byte-identical: the stamp-ordered LruEviction IS the old list,
  *     not an approximation of it.
+ *
+ * A further stream grows a 4 x 4096-page key universe to thousands of
+ * tracked pages and drains it again, driving the flat index through
+ * growth and node reuse; a small-table churn test pins its
+ * wrap-around deletes against a std::map mirror. A third oracle, a
+ * verbatim copy of the std::map HotColdMigration the sorted node
+ * vector replaced, must agree with today's on every decide() and
+ * residentIn() under seeded callback streams.
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +45,8 @@
 #include "exec/task_pool.hh"
 #include "mem/geometry.hh"
 #include "policy/eviction.hh"
+#include "policy/migration.hh"
+#include "policy/page_index.hh"
 #include "uvm/uvm.hh"
 
 namespace upm::policy {
@@ -172,10 +182,23 @@ class ReferenceModel
     std::vector<PageKey> order;
 };
 
+/** Shape of one differential op stream. */
+struct StreamShape
+{
+    std::uint64_t spaces = 2;  //!< key universe: spaces x pages
+    std::uint64_t pages = 96;
+    int ops = 4000;
+    /** 0: one steady op mix. Otherwise the mix alternates every
+     *  phaseOps ops between growing the tracked set (mostly inserts)
+     *  and draining it (mostly evictions and removals). */
+    int phaseOps = 0;
+};
+
 /** Drive the real policy and the reference through one identical
  *  seeded op stream; every victim must match. */
 void
-differentialRun(EvictionKind kind, std::uint64_t seed)
+differentialRun(EvictionKind kind, std::uint64_t seed,
+                const StreamShape &shape = {})
 {
     constexpr std::uint64_t kPolicySeed = 0xfeedbeefu;
     auto real = makeEviction(kind, kPolicySeed);
@@ -185,6 +208,8 @@ differentialRun(EvictionKind kind, std::uint64_t seed)
     std::set<PageKey> tracked;  // op-stream generator's mirror
     std::uint64_t tick = 0;
     std::uint64_t evictions = 0;
+    std::size_t peak = 0;
+    std::uint64_t drains = 0;  // ops that found a large set emptied
 
     auto randomTracked = [&]() {
         auto it = tracked.begin();
@@ -193,11 +218,20 @@ differentialRun(EvictionKind kind, std::uint64_t seed)
         return *it;
     };
 
-    for (int op = 0; op < 4000; ++op) {
+    for (int op = 0; op < shape.ops; ++op) {
+        // Cumulative thresholds: insert-or-touch, remove, then evict
+        // below 85; the rest touch a tracked page.
+        std::uint64_t insert_below = 45, remove_below = 60;
+        if (shape.phaseOps != 0) {
+            bool growing = (op / shape.phaseOps) % 2 == 0;
+            insert_below = growing ? 70 : 10;
+            remove_below = growing ? 75 : 35;
+        }
         tick += ops.next() % 2;  // ~half the ops share a tick: ties
         std::uint64_t roll = ops.next() % 100;
-        if (roll < 45) {
-            PageKey key{1 + ops.next() % 2, ops.next() % 96};
+        if (roll < insert_below) {
+            PageKey key{1 + ops.next() % shape.spaces,
+                        ops.next() % shape.pages};
             if (tracked.count(key)) {
                 real->touch(key, tick);
                 ref.touch(key, tick);
@@ -206,7 +240,7 @@ differentialRun(EvictionKind kind, std::uint64_t seed)
                 ref.insert(key, tick);
                 tracked.insert(key);
             }
-        } else if (roll < 60 && !tracked.empty()) {
+        } else if (roll < remove_below && !tracked.empty()) {
             PageKey key = randomTracked();
             real->remove(key);
             ref.remove(key);
@@ -225,9 +259,19 @@ differentialRun(EvictionKind kind, std::uint64_t seed)
             ref.touch(key, tick);
         }
         ASSERT_EQ(real->size(), ref.size());
+        peak = std::max(peak, tracked.size());
+        if (peak > 2000 && tracked.empty())
+            ++drains;
     }
     // The stream must actually have exercised eviction.
     EXPECT_GT(evictions, 100u) << evictionKindName(kind);
+    if (shape.phaseOps != 0) {
+        // Grow-then-drain must reach a large tracked set (index growth)
+        // and empty it again (slot reuse, LFU minimum-frequency
+        // recovery, predictive list/heap moves).
+        EXPECT_GT(peak, 2000u) << evictionKindName(kind);
+        EXPECT_GT(drains, 0u) << evictionKindName(kind);
+    }
 }
 
 TEST(PolicyDiff, EveryKindMatchesReferenceAcross16Seeds)
@@ -237,6 +281,53 @@ TEST(PolicyDiff, EveryKindMatchesReferenceAcross16Seeds)
           EvictionKind::Predictive}) {
         for (std::uint64_t s = 0; s < 16; ++s)
             differentialRun(kind, exec::taskSeed(0xd1ff'5eedull, s));
+    }
+}
+
+TEST(PolicyDiff, EveryKindMatchesReferenceOnLargeKeyUniverse)
+{
+    // 4 spaces x 4096 pages, two grow/drain cycles of ~5k ops each:
+    // thousands of keys tracked at the peak.
+    const StreamShape large{4, 4096, 20000, 5000};
+    for (EvictionKind kind :
+         {EvictionKind::Lru, EvictionKind::Lfu, EvictionKind::Random,
+          EvictionKind::Predictive})
+        differentialRun(kind, exec::taskSeed(0x1a59e'5eedull, 0), large);
+}
+
+TEST(PolicyDiff, PageIndexMatchesMapUnderSmallTableChurn)
+{
+    // At most 32 live keys drawn from 4 x 4096 pages: the table stays
+    // at 64 slots, half full, with homes spread over every slot, so
+    // probe clusters often run past the last slot and backward-shift
+    // deletes wrap around. After every op each live key must resolve
+    // to its node and an erased key to nothing.
+    std::vector<PageKey> keyOf;  // node id -> key, ids never reused
+    auto lookup = [&](std::uint32_t id) { return keyOf[id]; };
+    PageIndex index;
+    std::map<PageKey, std::uint32_t> live;  // key -> node id
+    SplitMix64 ops(exec::taskSeed(0x1dec5'5eedull, 0));
+    for (int op = 0; op < 20000; ++op) {
+        if (!live.empty() && (live.size() >= 32 || ops.next() % 2)) {
+            auto it = live.begin();
+            std::advance(it, static_cast<std::ptrdiff_t>(
+                                 ops.nextBelow(live.size())));
+            PageKey gone = it->first;
+            index.erase(gone, it->second, lookup);
+            live.erase(it);
+            ASSERT_EQ(index.find(gone, lookup), kNil) << "op " << op;
+        } else {
+            PageKey key{1 + ops.next() % 4, ops.next() % 4096};
+            if (live.count(key))
+                continue;
+            auto id = static_cast<std::uint32_t>(keyOf.size());
+            keyOf.push_back(key);
+            index.insert(key, id, lookup);
+            live.emplace(key, id);
+        }
+        ASSERT_EQ(index.size(), live.size());
+        for (const auto &[key, id] : live)
+            ASSERT_EQ(index.find(key, lookup), id) << "op " << op;
     }
 }
 
@@ -485,6 +576,203 @@ TEST(PolicyDiff, LruMatchesRetiredListUnderMixedWindowedTraffic)
             }
             expectSameCounters(now, old);
         }
+    }
+}
+
+// ---- Oracle 3: the retired std::map HotColdMigration ---------------------
+
+/**
+ * Verbatim copy of HotColdMigration as it stood before its tier table
+ * moved to a sorted node vector over a flat index: one std::map from
+ * key to node, scanned in key order by decide(). Only the class name
+ * changed.
+ */
+class MapHotColdMigration : public MigrationPolicy
+{
+  public:
+    explicit MapHotColdMigration(const MigrationConfig &config)
+        : cfg(config)
+    {
+    }
+
+    void
+    onResident(PageKey key, Tier tier) override
+    {
+        auto [it, fresh] = pages.emplace(key, Node{tier, 0, 0});
+        if (!fresh) {
+            if (it->second.tier == tier)
+                return;  // re-report in place; nothing moved
+            if (it->second.tier == Tier::Fast)
+                --fastCount;
+            it->second.tier = tier;
+            it->second.accesses = 0;
+        }
+        if (tier == Tier::Fast)
+            ++fastCount;
+    }
+
+    void
+    onRemove(PageKey key) override
+    {
+        // Untracked keys are tolerated: callers may report removals for
+        // pages that predate the engine being wired.
+        auto it = pages.find(key);
+        if (it == pages.end())
+            return;
+        if (it->second.tier == Tier::Fast)
+            --fastCount;
+        pages.erase(it);
+    }
+
+    void
+    onAccess(PageKey key, std::uint64_t tick) override
+    {
+        auto it = pages.find(key);
+        if (it == pages.end())
+            return;
+        ++it->second.accesses;
+        it->second.lastTick = tick;
+    }
+
+    std::vector<MigrationAction>
+    decide(std::uint64_t tick) override
+    {
+        std::vector<MigrationAction> actions;
+        // Promotions first: the fast tier is where accesses are cheap,
+        // so hot pages take priority over housekeeping demotions.
+        for (const auto &[key, node] : pages) {
+            if (actions.size() >= cfg.maxMovesPerStep)
+                return actions;
+            if (node.tier == Tier::Slow &&
+                node.accesses >= cfg.hotThreshold)
+                actions.push_back({key, Tier::Fast});
+        }
+        for (const auto &[key, node] : pages) {
+            if (actions.size() >= cfg.maxMovesPerStep)
+                return actions;
+            if (node.tier == Tier::Fast &&
+                tick - node.lastTick >= cfg.coldTicks)
+                actions.push_back({key, Tier::Slow});
+        }
+        return actions;
+    }
+
+    std::uint64_t
+    residentIn(Tier tier) const override
+    {
+        return tier == Tier::Fast ? fastCount
+                                  : pages.size() - fastCount;
+    }
+
+    MigrationKind
+    kind() const override
+    {
+        return MigrationKind::HotCold;
+    }
+
+  private:
+    struct Node
+    {
+        Tier tier = Tier::Slow;
+        /** Accesses since the page last changed tier. */
+        std::uint64_t accesses = 0;
+        std::uint64_t lastTick = 0;
+    };
+
+    MigrationConfig cfg;
+    std::map<PageKey, Node> pages;
+    std::uint64_t fastCount = 0;
+};
+
+/** Drive HotColdMigration and the map oracle through one seeded
+ *  callback stream; every decide() vector and residentIn() count must
+ *  match. Applies half of each decision back, as a simulator would. */
+void
+hotColdDifferentialRun(std::uint64_t seed, const MigrationConfig &cfg)
+{
+    HotColdMigration real(cfg);
+    MapHotColdMigration ref(cfg);
+    SplitMix64 ops(seed);
+    std::set<PageKey> tracked;  // generator's mirror
+    std::uint64_t tick = 0;
+    std::uint64_t moves = 0;
+
+    auto randomKey = [&]() {
+        return PageKey{1 + ops.next() % 3, ops.next() % 1024};
+    };
+    auto randomTracked = [&]() {
+        auto it = tracked.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             ops.nextBelow(tracked.size())));
+        return *it;
+    };
+    auto both = [&](auto &&call) {
+        call(static_cast<MigrationPolicy &>(real));
+        call(static_cast<MigrationPolicy &>(ref));
+    };
+
+    for (int op = 0; op < 12000; ++op) {
+        // Alternate 2000-op phases that grow and shrink the tracked
+        // set, so dead nodes come to outnumber live ones.
+        bool growing = (op / 2000) % 2 == 0;
+        std::uint64_t roll = ops.next() % 100;
+        if (roll < (growing ? 35u : 10u)) {
+            // First placement or a tier move, in random key order.
+            PageKey key = randomKey();
+            Tier tier = ops.next() % 2 ? Tier::Fast : Tier::Slow;
+            both([&](MigrationPolicy &m) { m.onResident(key, tier); });
+            tracked.insert(key);
+        } else if (roll < (growing ? 45u : 40u)) {
+            // Removal of a tracked key, or of any key (maybe unknown).
+            PageKey key = ops.next() % 2 && !tracked.empty()
+                              ? randomTracked()
+                              : randomKey();
+            both([&](MigrationPolicy &m) { m.onRemove(key); });
+            tracked.erase(key);
+        } else if (roll < 55 && !tracked.empty()) {
+            // UvmSimulator::evictOne: remove, then re-add as Slow.
+            PageKey key = randomTracked();
+            both([&](MigrationPolicy &m) {
+                m.onRemove(key);
+                m.onResident(key, Tier::Slow);
+            });
+        } else if (roll < 95) {
+            PageKey key = ops.next() % 4 != 0 && !tracked.empty()
+                              ? randomTracked()
+                              : randomKey();
+            both([&](MigrationPolicy &m) { m.onAccess(key, tick); });
+        } else {
+            tick += 1 + ops.next() % 8;
+            std::vector<MigrationAction> got = real.decide(tick);
+            ASSERT_EQ(got, ref.decide(tick))
+                << "seed " << seed << " op " << op;
+            for (std::size_t i = 0; i < got.size(); i += 2) {
+                both([&](MigrationPolicy &m) {
+                    m.onResident(got[i].key, got[i].to);
+                });
+                ++moves;
+            }
+        }
+        tick += ops.next() % 2;
+        ASSERT_EQ(real.residentIn(Tier::Fast), ref.residentIn(Tier::Fast))
+            << "seed " << seed << " op " << op;
+        ASSERT_EQ(real.residentIn(Tier::Slow), ref.residentIn(Tier::Slow))
+            << "seed " << seed << " op " << op;
+    }
+    EXPECT_GT(moves, 100u);
+}
+
+TEST(PolicyDiff, HotColdMatchesRetiredMapAcrossSeeds)
+{
+    MigrationConfig tight;
+    tight.hotThreshold = 2;
+    tight.coldTicks = 8;
+    tight.maxMovesPerStep = 16;
+    for (std::uint64_t s = 0; s < 4; ++s) {
+        hotColdDifferentialRun(exec::taskSeed(0x407c'01d5ull, s),
+                               MigrationConfig{});
+        hotColdDifferentialRun(exec::taskSeed(0x407c'01d5ull, 16 + s),
+                               tight);
     }
 }
 

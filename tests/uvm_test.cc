@@ -106,6 +106,29 @@ TEST(Uvm, OutOfRangeAccessIsUserError)
     EXPECT_THROW(sim.cpuAccess(h, 512 * KiB, 1 * MiB), SimError);
 }
 
+TEST(Uvm, ZeroByteGpuAccessMovesNoPage)
+{
+    UvmSimulator sim(64 * MiB);
+    std::uint64_t h = sim.allocManaged(1 * MiB);
+    for (std::uint64_t off : {0ull, 100ull, 3 * 4096ull + 5}) {
+        EXPECT_EQ(sim.gpuAccess(h, off, 0), 0.0) << off;
+        EXPECT_EQ(sim.deviceResidentPages(), 0u) << off;
+        EXPECT_EQ(sim.pagesMigratedToDevice(), 0u) << off;
+    }
+}
+
+TEST(Uvm, ZeroByteCpuAccessMovesNoPage)
+{
+    UvmSimulator sim(64 * MiB);
+    std::uint64_t h = sim.allocManaged(1 * MiB);
+    sim.gpuAccess(h, 0, 1 * MiB);
+    for (std::uint64_t off : {0ull, 100ull, 3 * 4096ull + 5}) {
+        EXPECT_EQ(sim.cpuAccess(h, off, 0), 0.0) << off;
+        EXPECT_EQ(sim.deviceResidentPages(), 256u) << off;
+        EXPECT_EQ(sim.pagesMigratedToHost(), 0u) << off;
+    }
+}
+
 TEST(Uvm, ZeroByteAllocRejected)
 {
     UvmSimulator sim(64 * MiB);
