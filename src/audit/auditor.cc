@@ -224,7 +224,7 @@ Auditor::raceEdgeAll(AgentId to)
 void
 Auditor::raceAccess(AgentId agent, std::uint64_t first_page,
                     std::uint64_t page_count, bool is_write,
-                    const std::string &site)
+                    std::string_view site)
 {
     if (!cfg.checkRaces)
         return;

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -98,7 +99,7 @@ class Auditor
     /** Page-range access by @p agent; races are recorded. */
     void raceAccess(AgentId agent, std::uint64_t first_page,
                     std::uint64_t page_count, bool is_write,
-                    const std::string &site);
+                    std::string_view site);
 
     /** The engine itself (tests inspect tracked state). */
     const RaceDetector &races() const { return detector; }

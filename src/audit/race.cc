@@ -54,58 +54,129 @@ RaceDetector::happensBefore(const Epoch &epoch, AgentId a) const
     return epoch.clock <= clocks[a][epoch.agent];
 }
 
+const RaceDetector::Epoch *
+RaceDetector::conflictIn(const PageState &state, AgentId agent,
+                         bool is_write) const
+{
+    if (state.hasWrite && !happensBefore(state.lastWrite, agent))
+        return &state.lastWrite;
+    if (is_write) {
+        for (const Epoch &read : state.reads) {
+            if (!happensBefore(read, agent))
+                return &read;
+        }
+    }
+    return nullptr;
+}
+
+RaceDetector::SiteId
+RaceDetector::intern(std::string_view site)
+{
+    auto it = siteIds.find(site);
+    if (it != siteIds.end())
+        return it->second;
+    auto id = static_cast<SiteId>(siteNames.size());
+    siteNames.emplace_back(site);
+    siteIds.emplace(siteNames.back(), id);
+    return id;
+}
+
+void
+RaceDetector::splitAt(std::uint64_t page)
+{
+    auto it = runs.upper_bound(page);
+    if (it == runs.begin())
+        return;
+    --it;
+    if (it->first == page || it->second.end <= page)
+        return;
+    Run tail{it->second.end, it->second.state};
+    it->second.end = page;
+    runs.emplace_hint(std::next(it), page, std::move(tail));
+}
+
+RaceDetector::RunMap::iterator
+RaceDetector::mergeWithPrev(RunMap::iterator it)
+{
+    if (it == runs.begin())
+        return it;
+    auto prev = std::prev(it);
+    if (prev->second.end != it->first ||
+        !(prev->second.state == it->second.state))
+        return it;
+    prev->second.end = it->second.end;
+    runs.erase(it);
+    return prev;
+}
+
 void
 RaceDetector::accessRange(AgentId agent, std::uint64_t first,
                           std::uint64_t count, bool is_write,
-                          const std::string &site,
+                          std::string_view site,
                           std::vector<RaceReport> &races)
 {
     ensureAgent(agent);
-    Epoch now{agent, clocks[agent][agent], site};
+    if (count == 0)
+        return;
+    const Epoch now{agent, clocks[agent][agent], intern(site)};
+    const std::uint64_t end = first + count;
 
-    for (std::uint64_t p = first; p < first + count; ++p) {
-        PageState &state = pages[p];
-
-        const Epoch *conflict = nullptr;
-        if (state.hasWrite && !happensBefore(state.lastWrite, agent))
-            conflict = &state.lastWrite;
-        if (conflict == nullptr && is_write) {
-            for (const Epoch &read : state.reads) {
-                if (!happensBefore(read, agent)) {
-                    conflict = &read;
-                    break;
-                }
+    // Every page of a run shares one state, so one conflict check and
+    // one update per run stand for the per-page ones.
+    splitAt(first);
+    splitAt(end);
+    std::uint64_t p = first;
+    auto it = runs.lower_bound(first);
+    while (p < end) {
+        if (it == runs.end() || it->first > p) {
+            // Untracked gap: nothing to conflict with yet.
+            std::uint64_t gap_end =
+                it == runs.end() ? end : std::min(end, it->first);
+            it = runs.emplace_hint(it, p, Run{gap_end, {}});
+            tracked += gap_end - p;
+        }
+        Run &run = it->second;
+        if (const Epoch *conflict = conflictIn(run.state, agent, is_write)) {
+            for (std::uint64_t q = p; q < run.end; ++q) {
+                races.push_back({q, conflict->agent,
+                                 siteNames[conflict->site], agent,
+                                 siteNames[now.site]});
             }
         }
-        if (conflict != nullptr) {
-            races.push_back({p, conflict->agent, conflict->site, agent,
-                             site});
-        }
 
+        PageState &state = run.state;
         if (is_write) {
             state.lastWrite = now;
             state.hasWrite = true;
             state.reads.clear();
         } else {
-            bool updated = false;
-            for (Epoch &read : state.reads) {
-                if (read.agent == agent) {
-                    read = now;
-                    updated = true;
-                    break;
-                }
-            }
-            if (!updated)
+            auto read = std::find_if(
+                state.reads.begin(), state.reads.end(),
+                [&](const Epoch &e) { return e.agent == agent; });
+            if (read != state.reads.end())
+                *read = now;
+            else
                 state.reads.push_back(now);
         }
+        p = run.end;
+        ++it;
     }
+
+    // Re-coalesce from the run ending at `first` through the run
+    // starting at `end`.
+    for (auto cur = runs.lower_bound(first);
+         cur != runs.end() && cur->first <= end; ++cur)
+        cur = mergeWithPrev(cur);
 }
 
 void
 RaceDetector::reset()
 {
     clocks.clear();
-    pages.clear();
+    runs.clear();
+    tracked = 0;
+    siteNames.clear();
+    siteIds.clear();
 }
 
 } // namespace upm::audit

@@ -15,14 +15,19 @@
  * This is FastTrack-lite: per page we keep the last write epoch and
  * the set of read epochs since that write; a conflicting pair without
  * a happens-before edge is a race, reported with both access sites.
+ * Page state is stored extent-coalesced: one node per maximal run of
+ * pages with identical state, so a range access costs O(runs it
+ * touches), not O(pages).
  */
 
 #ifndef UPM_AUDIT_RACE_HH
 #define UPM_AUDIT_RACE_HH
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace upm::audit {
@@ -64,26 +69,35 @@ class RaceDetector
      * Record an access by @p agent to pages [first, first+count) and
      * collect any races against prior unordered conflicting accesses.
      * @p site labels the access in reports (e.g. "kernel 'fdwt53'").
-     * At most one race is reported per page per call.
+     * At most one race is reported per page per call, in page order.
      */
     void accessRange(AgentId agent, std::uint64_t first,
                      std::uint64_t count, bool is_write,
-                     const std::string &site,
+                     std::string_view site,
                      std::vector<RaceReport> &races);
 
-    /** Forget all page state and clocks (between benchmark runs). */
+    /** Forget all page state, clocks and sites (between benchmark
+     *  runs). */
     void reset();
 
-    /** Pages currently tracked (test/introspection surface). */
-    std::size_t trackedPages() const { return pages.size(); }
+    /** Distinct pages ever accessed since the last reset. */
+    std::size_t trackedPages() const { return tracked; }
+
+    /** Stored runs of identical page state (test/introspection). */
+    std::size_t trackedRuns() const { return runs.size(); }
 
   private:
+    /** Index into `siteNames`. */
+    using SiteId = std::uint32_t;
+
     /** An access epoch: who, at what point of their clock, and where. */
     struct Epoch
     {
         AgentId agent = 0;
         std::uint64_t clock = 0;
-        std::string site;
+        SiteId site = 0;
+
+        bool operator==(const Epoch &) const = default;
     };
 
     struct PageState
@@ -92,16 +106,42 @@ class RaceDetector
         bool hasWrite = false;
         /** Reads since the last write, at most one epoch per agent. */
         std::vector<Epoch> reads;
+
+        bool operator==(const PageState &) const = default;
     };
+
+    /** Pages [begin, end) all in `state`; keyed by begin in `runs`. */
+    struct Run
+    {
+        std::uint64_t end = 0;
+        PageState state;
+    };
+    using RunMap = std::map<std::uint64_t, Run>;
 
     /** Grow the clock matrix to cover @p agent. */
     void ensureAgent(AgentId agent);
     /** Does @p epoch happen-before agent @p a's current clock? */
     bool happensBefore(const Epoch &epoch, AgentId a) const;
+    /** The prior access an access by @p agent conflicts with, if any. */
+    const Epoch *conflictIn(const PageState &state, AgentId agent,
+                            bool is_write) const;
+    /** Stable id for @p site; lookups never iterate a hash map. */
+    SiteId intern(std::string_view site);
+    /** Cut the run containing @p page so a run starts there. */
+    void splitAt(std::uint64_t page);
+    /** Merge @p it into its predecessor when adjacent and equal.
+     *  @return the surviving run. */
+    RunMap::iterator mergeWithPrev(RunMap::iterator it);
 
     /** clocks[a][b]: the latest clock of b that a has acquired. */
     std::vector<std::vector<std::uint64_t>> clocks;
-    std::unordered_map<std::uint64_t, PageState> pages;
+    /** Disjoint runs, never two adjacent equal ones. */
+    RunMap runs;
+    /** Pages covered by `runs`. */
+    std::size_t tracked = 0;
+    /** Interned access sites: id -> text, text -> id. */
+    std::vector<std::string> siteNames;
+    std::map<std::string, SiteId, std::less<>> siteIds;
 };
 
 } // namespace upm::audit

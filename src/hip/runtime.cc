@@ -469,8 +469,8 @@ Runtime::launchKernel(const KernelDesc &desc,
 
     if (aud != nullptr) {
         aud->raceEdge(audit::kHostAgent, agentOf(*stream));
+        const std::string site = "kernel '" + desc.name + "'";
         for (const auto &use : desc.buffers) {
-            std::string site = "kernel '" + desc.name + "'";
             aud->noteUse(use.ptr, site.c_str());
             // Descriptors carry no read/write split; treat the whole
             // footprint as written (conservative for race purposes).

@@ -88,29 +88,50 @@ FrameAllocator::allocBlock(unsigned order, FrameId &base)
 }
 
 bool
-FrameAllocator::freeBlock(FrameId base, unsigned order)
+FrameAllocator::freeLocal(FrameId begin, FrameId end)
 {
-    std::uint64_t n = 1ull << order;
-    // Validate the whole block before mutating anything: a double
-    // free is recorded (when audited) and rejected, leaving state
-    // intact either way.
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (!frameBusy[base + i]) {
+    // One pass over the busy bits, clearing each maximal busy sub-run
+    // as it is found and then handing it to the buddy as naturally-
+    // aligned blocks; each non-busy frame is rejected and (when
+    // audited) recorded, in frame order. Eager buddy merging makes the
+    // final state a pure function of the free frame set, so this
+    // matches a page-by-page free exactly.
+    bool ok = true;
+    FrameId cur = begin;
+    while (cur < end) {
+        if (!frameBusy[cur]) {
             if (aud != nullptr && aud->config().checkFrames) {
                 aud->record(audit::ViolationKind::FrameDoubleFree,
-                            base + i + baseF,
+                            cur + baseF,
                             strprintf("free of frame %llu, which is not "
                                       "allocated",
                                       static_cast<unsigned long long>(
-                                          base + i + baseF)));
+                                          cur + baseF)));
             }
-            return false;
+            ok = false;
+            ++cur;
+            continue;
+        }
+        FrameId run_end = cur;
+        while (run_end < end && frameBusy[run_end])
+            frameBusy[run_end++] = false;
+        freeCount += run_end - cur;
+        while (cur < run_end) {
+            unsigned align = cfg.maxOrder;
+            while (align > 0 && (cur & ((1ull << align) - 1)) != 0)
+                --align;
+            unsigned order =
+                std::min<unsigned>(align, floorLog2(run_end - cur));
+            insertFreeBlock(cur, order);
+            cur += 1ull << order;
         }
     }
-    for (std::uint64_t i = 0; i < n; ++i)
-        frameBusy[base + i] = false;
-    freeCount += n;
+    return ok;
+}
 
+void
+FrameAllocator::insertFreeBlock(FrameId base, unsigned order)
+{
     // Merge with the buddy while possible.
     unsigned o = order;
     FrameId block = base;
@@ -123,7 +144,6 @@ FrameAllocator::freeBlock(FrameId base, unsigned order)
         ++o;
     }
     freeLists[o].insert(block >> o);
-    return true;
 }
 
 std::optional<std::vector<FrameRange>>
@@ -372,7 +392,7 @@ FrameAllocator::freeFrame(FrameId frame)
         }
         return false;
     }
-    bool ok = freeBlock(frame - baseF, 0);
+    bool ok = freeLocal(frame - baseF, frame - baseF + 1);
     if (ok && tr != nullptr)
         tr->emitAt(socketId, trace::EventKind::FrameFree, frame, 1);
     return ok;
@@ -395,28 +415,7 @@ FrameAllocator::freeRange(const FrameRange &range)
         return false;
     }
     FrameId local_base = range.base - baseF;
-    bool ok = true;
-    if (aud != nullptr) {
-        // Page-by-page fan-out reports every bad frame individually;
-        // eager merging makes the final buddy state identical.
-        for (std::uint64_t i = 0; i < range.count; ++i)
-            ok = freeBlock(local_base + i, 0) && ok;
-    } else {
-        // Decompose into maximal naturally-aligned blocks: O(log
-        // frames) buddy work per block instead of per page.
-        FrameId cur = local_base;
-        std::uint64_t remaining = range.count;
-        while (remaining > 0) {
-            unsigned align = cfg.maxOrder;
-            while (align > 0 && (cur & ((1ull << align) - 1)) != 0)
-                --align;
-            unsigned order =
-                std::min<unsigned>(align, floorLog2(remaining));
-            ok = freeBlock(cur, order) && ok;
-            cur += 1ull << order;
-            remaining -= 1ull << order;
-        }
-    }
+    bool ok = freeLocal(local_base, local_base + range.count);
     if (ok && tr != nullptr)
         tr->emitAt(socketId, trace::EventKind::FrameFree, range.base,
                    range.count);
@@ -428,22 +427,11 @@ FrameAllocator::releaseRange(const FrameRange &range)
 {
     // Rollback path: the frames were allocated moments ago and no
     // FrameAlloc event has been emitted for them, so this must not
-    // emit FrameFree either. Same block decomposition as freeRange;
-    // eager merging yields the identical buddy state.
-    FrameId cur = range.base;
-    std::uint64_t remaining = range.count;
-    while (remaining > 0) {
-        unsigned align = cfg.maxOrder;
-        while (align > 0 && (cur & ((1ull << align) - 1)) != 0)
-            --align;
-        unsigned order =
-            std::min<unsigned>(align, floorLog2(remaining));
-        if (!freeBlock(cur, order))
-            fatal("rollback free of unallocated frame %llu",
-                  static_cast<unsigned long long>(cur));
-        cur += 1ull << order;
-        remaining -= 1ull << order;
-    }
+    // emit FrameFree either.
+    if (!freeLocal(range.base, range.base + range.count))
+        fatal("rollback free of unallocated frames in [%llu, +%llu)",
+              static_cast<unsigned long long>(range.base),
+              static_cast<unsigned long long>(range.count));
 }
 
 void

@@ -138,13 +138,13 @@ class FrameAllocator
     [[nodiscard]] bool freeFrame(FrameId frame);
 
     /**
-     * Free a contiguous range as naturally-aligned buddy blocks --
-     * O(log frames) per block instead of per page. With an auditor
-     * attached it falls back to page-by-page frees so every bad frame
-     * is reported individually; eager merging makes the final buddy
-     * state identical either way.
-     * @return false if any frame in the range was invalid (frames
-     *         before the bad block are still freed).
+     * Free a contiguous range: every maximal busy sub-run goes back
+     * as naturally-aligned buddy blocks -- O(log frames) per block
+     * instead of per page -- and every frame that is not allocated is
+     * skipped (recorded as FrameDoubleFree when audited), audited or
+     * not. The buddy state equals that of page-by-page frees.
+     * @return false if any frame in the range was invalid (every
+     *         valid frame is still freed).
      */
     [[nodiscard]] bool freeRange(const FrameRange &range);
 
@@ -226,9 +226,13 @@ class FrameAllocator
   private:
     /** Allocate one buddy block of @p order; @return base or fail. */
     bool allocBlock(unsigned order, FrameId &base);
-    /** Return a block to the free lists, merging with buddies.
-     *  @return false (state intact) if any frame was not allocated. */
-    bool freeBlock(FrameId base, unsigned order);
+    /** Free shard-local frames [begin, end) in one pass over the busy
+     *  bits. @return false if any frame was not allocated (each one
+     *  recorded when audited; the rest are still freed). */
+    bool freeLocal(FrameId begin, FrameId end);
+    /** Put one already-cleared block on the free lists, merging with
+     *  its buddies. */
+    void insertFreeBlock(FrameId base, unsigned order);
     /** Refill the on-demand pool from one buddy block. */
     bool refillOnDemandPool();
     /** Refill the per-stack pools used by allocInterleaved(). */

@@ -160,47 +160,29 @@ AddressSpace::munmap(VirtAddr base)
     const Vma &vma = it->second;
 
     hmm.invalidateRange(vma.beginVpn(), vma.endVpn());
-    // munmap *knows* every mapped frame is allocated (the page table
-    // said so); a failed free here is free-list/busy-bit divergence,
-    // an internal invariant break, and stays a panic.
-    if (aud != nullptr) {
-        // Free each sub-run as it is cut so UPMSan sees the same
-        // per-frame event stream, in vpn order, as ever.
-        sysTable.removeRange(
-            vma.beginVpn(), vma.endVpn(), [&](const PteRun &cut) {
-                bool ok = true;
-                if (cut.scatter == nullptr) {
-                    ok = freeRouted({cut.frame, cut.len});
-                } else {
-                    for (std::uint64_t i = 0; i < cut.len; ++i)
-                        ok = freeRouted({cut.scatter[i], 1}) && ok;
-                }
-                if (!ok)
-                    panic("munmap freed a frame the allocator says is "
-                          "not allocated");
-            });
-    } else {
-        // Batch: accumulate the freed frames into merged intervals
-        // first, then hand the buddy a few big ranges. Eager buddy
-        // merging makes the final free-list state a pure function of
-        // the free frame set, so this is equivalent to per-run frees.
-        mem::IntervalSet freed;
-        sysTable.removeRange(
-            vma.beginVpn(), vma.endVpn(), [&](const PteRun &cut) {
-                if (cut.scatter == nullptr) {
-                    freed.insertRange(cut.frame, cut.len);
-                } else {
-                    for (std::uint64_t i = 0; i < cut.len; ++i)
-                        freed.insert(cut.scatter[i]);
-                }
-            });
-        freed.forEach([&](FrameId begin_frame, FrameId end_frame) {
-            if (!freeRouted({begin_frame, end_frame - begin_frame})) {
-                panic("munmap freed a frame the allocator says is not "
-                      "allocated");
+    // Accumulate the freed frames into merged intervals first, then
+    // hand the buddy a few big ranges. Eager buddy merging makes the
+    // final free-list state a pure function of the free frame set, so
+    // this is equivalent to per-run frees. munmap *knows* every mapped
+    // frame is allocated (the page table said so); a failed free here
+    // is free-list/busy-bit divergence, an internal invariant break,
+    // and stays a panic.
+    mem::IntervalSet freed;
+    sysTable.removeRange(
+        vma.beginVpn(), vma.endVpn(), [&](const PteRun &cut) {
+            if (cut.scatter == nullptr) {
+                freed.insertRange(cut.frame, cut.len);
+            } else {
+                for (std::uint64_t i = 0; i < cut.len; ++i)
+                    freed.insert(cut.scatter[i]);
             }
         });
-    }
+    freed.forEach([&](FrameId begin_frame, FrameId end_frame) {
+        if (!freeRouted({begin_frame, end_frame - begin_frame})) {
+            panic("munmap freed a frame the allocator says is not "
+                  "allocated");
+        }
+    });
     for (const auto &replica : vma.replicaRanges) {
         if (!freeRouted(replica))
             panic("munmap freed a replica frame the allocator says is "

@@ -419,8 +419,10 @@ TEST(Engine, MigrationProposalsNotTracedUntilApplied)
     EXPECT_TRUE(tracer.events().empty());  // proposal, not decision
 
     engine.noteMigrated(proposals[0].key, proposals[0].to);
-    ASSERT_EQ(tracer.events().size(), 1u);
-    const auto &ev = tracer.events()[0];
+    // events() returns by value: keep the copy alive while ev is used.
+    const auto events = tracer.events();
+    ASSERT_EQ(events.size(), 1u);
+    const auto &ev = events[0];
     EXPECT_EQ(ev.kind, trace::EventKind::PolicyMigrate);
     EXPECT_EQ(ev.a, 1u);
     EXPECT_EQ(ev.b, 0u);
