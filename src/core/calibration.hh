@@ -215,7 +215,7 @@ struct SystemConfig
     trace::TraceConfig trace;
     /** Inter-APU xGMI link calibration (used when numSockets > 1). */
     fabric::FabricConfig fabric;
-    /** UPMPolicy placement / migration / eviction (off by default). */
+    /** UPMPolicy migration / eviction (off by default). */
     policy::PolicyConfig policy;
 
     unsigned numCus = 228;      //!< compute units (6 XCDs)

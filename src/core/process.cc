@@ -23,18 +23,17 @@ faultSeedFor(std::uint64_t pid)
 Process::Process(System &system, std::uint64_t pid, vm::VirtAddr va_base,
                  vm::VirtAddr va_end)
     : sys(system), id(pid),
-      as(system.nodeMemory().shard(0), backingStore),
+      as(system.nodeMemory(), backingStore),
       faults(system.config().faults, faultSeedFor(pid)), registry(as),
       rt(as, registry, faults, system.config(), system.geometry())
 {
     as.setVaWindow(va_base, va_end);
     rt.setCalendar(&calendar);
-    // Mirror the System's own wiring (system.cc): shards + fabric on
+    // Mirror the System's own wiring (system.cc): fabric on
     // multi-socket nodes, then the shared aud/inj/trc hooks. The node
     // itself already holds those hooks; only per-process components
     // are wired here.
     if (sys.numSockets() > 1) {
-        as.setNode(&sys.nodeMemory());
         faults.setFabric(sys.fabric());
         rt.perf().setFabric(sys.fabric(),
                             sys.nodeMemory().framesPerSocket());

@@ -27,7 +27,7 @@ constexpr std::uint64_t kProcessVaSpan = 64 * GiB;
 System::System(const SystemConfig &config)
     : cfg(config), apuTopo(cfg), geom(cfg.geometry),
       node(geom, cfg.frames, cfg.numSockets),
-      as(node.shard(0), backingStore), faults(cfg.faults), registry(as),
+      as(node, backingStore), faults(cfg.faults), registry(as),
       rt(as, registry, faults, cfg, geom), numaMeminfo(node.shard(0)),
       processRss(as)
 {
@@ -43,7 +43,6 @@ System::System(const SystemConfig &config)
         // identical to the pre-socket System.
         fab = std::make_unique<fabric::Fabric>(cfg.fabric,
                                                node.numSockets());
-        as.setNode(&node);
         faults.setFabric(fab.get());
         rt.perf().setFabric(fab.get(), node.framesPerSocket());
         // Per-socket Infinity Caches: each shard's working-set slice

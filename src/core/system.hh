@@ -10,12 +10,13 @@
  *
  * A node is one or more sockets (SystemConfig::numSockets). Each
  * socket contributes an Apu topology, one geometry-sized HBM shard,
- * and a NumaMeminfo view; sockets > 1 are joined by the xGMI link
- * model (fabric::Fabric), which the address space (placement routing),
- * fault handler (remote fault cost) and perf model (remote bandwidth
- * mix) all consult. With numSockets == 1 the fabric is never created
- * and the node degenerates to the classic single-APU wiring, byte
- * identical to the pre-socket System.
+ * and a NumaMeminfo view. The address space takes every frame from
+ * the node's shards, routed by vm::SocketPolicy. Sockets > 1 are
+ * joined by the xGMI link model (fabric::Fabric), which the fault
+ * handler (remote fault cost) and perf model (remote bandwidth mix)
+ * consult. With numSockets == 1 the fabric is never created and the
+ * node degenerates to the classic single-APU wiring, byte identical
+ * to the pre-socket System.
  */
 
 #ifndef UPM_CORE_SYSTEM_HH
@@ -38,11 +39,11 @@
 #include "mem/geometry.hh"
 #include "mem/node.hh"
 #include "policy/engine.hh"
-#include "prof/counters.hh"
 #include "prof/meminfo.hh"
 #include "prof/perf.hh"
 #include "prof/rocprof.hh"
 #include "sched/calendar.hh"
+#include "trace/metrics.hh"
 #include "trace/tracer.hh"
 #include "vm/address_space.hh"
 #include "vm/fault_handler.hh"
@@ -66,8 +67,8 @@ class System
 
     mem::MemGeometry &geometry() { return geom; }
     /** Socket 0's HBM shard. On a one-socket node this is the whole
-     *  physical memory, bit-identical to the legacy allocator; on a
-     *  multi-socket node use node() for the global view. */
+     *  physical memory; on a multi-socket node use nodeMemory() for
+     *  the global view. */
     mem::FrameAllocator &frames() { return node.shard(0); }
     /** The sharded node-wide physical memory (global frame ids). */
     mem::NodeMemory &nodeMemory() { return node; }
@@ -88,7 +89,7 @@ class System
     fabric::Fabric *fabric() { return fab.get(); }
     const fabric::Fabric *fabric() const { return fab.get(); }
 
-    prof::CounterRegistry &counters() { return counterRegistry; }
+    trace::MetricsRegistry &counters() { return counterRegistry; }
     /** Socket 0's NUMA meminfo view (see meminfo(unsigned)). */
     prof::NumaMeminfo &meminfo() { return numaMeminfo; }
     /** Socket @p s's NUMA meminfo view: its shard's frames and its
@@ -161,7 +162,7 @@ class System
     hip::Runtime rt;
     /** Per-System event calendar; wired into the runtime at birth. */
     sched::EventCalendar calendar;
-    prof::CounterRegistry counterRegistry;
+    trace::MetricsRegistry counterRegistry;
     prof::NumaMeminfo numaMeminfo;
     prof::ProcessRss processRss;
     /** Per-socket slices (Apu + shard ref + meminfo); unique_ptr

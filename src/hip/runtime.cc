@@ -6,6 +6,7 @@
 #include "audit/auditor.hh"
 #include "common/log.hh"
 #include "inject/injector.hh"
+#include "mem/node.hh"
 #include "policy/engine.hh"
 #include "sched/calendar.hh"
 #include "trace/tracer.hh"
@@ -54,9 +55,9 @@ Runtime::auditAccess(unsigned agent, DevPtr ptr, std::uint64_t bytes,
 void
 Runtime::notePeak()
 {
-    auto &alloc = as.frames();
+    const mem::NodeMemory &node = as.nodeMemory();
     std::uint64_t used =
-        (alloc.totalFrames() - alloc.freeFrames()) * mem::kPageSize;
+        (node.totalFrames() - node.freeFrames()) * mem::kPageSize;
     peakBytes = std::max(peakBytes, used);
 }
 
@@ -274,7 +275,8 @@ MemInfo
 Runtime::hipMemGetInfo() const
 {
     MemInfo info;
-    info.totalBytes = as.frames().geometry().capacity();
+    const mem::NodeMemory &node = as.nodeMemory();
+    info.totalBytes = node.numSockets() * node.geometry().capacity();
     info.freeBytes = info.totalBytes - hipMallocBytes;
     return info;
 }

@@ -6,14 +6,16 @@
  * the global frame space into per-socket shards: shard `s` owns global
  * frames [s * framesPerSocket(), (s+1) * framesPerSocket()). Each
  * shard is a full FrameAllocator over one geometry-sized window, so a
- * one-socket node's shard 0 is *bit-identical* to the legacy unsharded
- * allocator (base 0, same seed, same buddy carving) -- the property
- * the single-socket byte-identity regression tests pin.
+ * one-socket node's shard 0 is *bit-identical* to a bare
+ * FrameAllocator (base 0, same seed, same buddy carving) -- the
+ * property the single-socket byte-identity regression tests pin.
+ * NodeMemory is vm::AddressSpace's only frame source, on one socket
+ * as on many.
  *
  * Callers speak global frame ids everywhere. Placement policy (which
  * shard serves an allocation) lives above, in vm::AddressSpace's
- * socket routing; frees below are routed here by frame id, splitting
- * runs that cross shard boundaries.
+ * vm::SocketPolicy switch; frees below are routed here by frame id,
+ * splitting runs that cross shard boundaries.
  */
 
 #ifndef UPM_MEM_NODE_HH

@@ -2,21 +2,22 @@
  * @file
  * PolicyEngine: the object behind the `pol` hook.
  *
- * One engine per core::System aggregates the three policy interfaces
- * and the per-page access counters that feed them. Layers hold a raw
- * `PolicyEngine *pol` exactly like the aud / tr / inj / cal / obs
- * hooks: null means "policy disabled" and every call site is
- * null-checked, so an unwired simulator is byte-identical to the
+ * One engine per core::System aggregates the eviction and migration
+ * policies and the per-page access counters that feed them. Layers
+ * hold a raw `PolicyEngine *pol` exactly like the aud / tr / inj /
+ * cal / obs hooks: null means "policy disabled" and every call site
+ * is null-checked, so an unwired simulator is byte-identical to the
  * pre-policy tree (the differential tests pin this).
  *
  * Division of labour:
- *  - the engine decides (which socket, which victim, which moves) and
- *    emits the PolicyPlace / PolicyMigrate / PolicyEvict trace events
- *    for decisions that were APPLIED, so a trace replays to the exact
- *    decision sequence;
- *  - callers own the mechanism (frame sources, residency flips,
- *    migration costs) and report outcomes back via the note*()
- *    calls.
+ *  - the engine decides (which victim, which moves) and emits the
+ *    PolicyMigrate / PolicyEvict trace events for decisions that were
+ *    APPLIED, so a trace replays to the exact decision sequence;
+ *  - callers own the mechanism (residency flips, migration costs) and
+ *    report outcomes back via the note*() calls.
+ *
+ * Socket placement is not the engine's: vm::SocketPolicy decides it
+ * in vm::AddressSpace.
  *
  * The engine's logical clock advances once per simulator call
  * (advanceTick() at the top of gpuAccess / cpuAccess and friends);
@@ -33,7 +34,6 @@
 
 #include "policy/eviction.hh"
 #include "policy/migration.hh"
-#include "policy/placement.hh"
 #include "policy/policy.hh"
 
 namespace upm::trace {
@@ -45,7 +45,6 @@ namespace upm::policy {
 /** Decision counters, cheap enough to keep always-on. */
 struct PolicyStats
 {
-    std::uint64_t placements = 0;
     std::uint64_t promotions = 0;
     std::uint64_t demotions = 0;
     std::uint64_t evictions = 0;
@@ -67,20 +66,6 @@ class PolicyEngine
 
     /** Wire the trace bus (null to disconnect). */
     void setTracer(trace::Tracer *t) { tr = t; }
-
-    // ------------------------------------------------------ placement
-
-    /** True when the engine overrides vm::SocketPolicy (placement !=
-     *  Inherit). When false, callers keep their legacy routing and
-     *  never call choosePlacement(). */
-    bool overridesPlacement() const { return place != nullptr; }
-
-    /** Choose a socket for pages of @p space starting at @p page.
-     *  Emits PolicyPlace and counts the decision. Panics when the
-     *  engine does not override placement. */
-    PlaceDecision choosePlacement(std::uint64_t space,
-                                  std::uint64_t page,
-                                  const PlaceRequest &req);
 
     // ------------------------------------------------------- eviction
 
@@ -145,8 +130,7 @@ class PolicyEngine
     PolicyStats counters;
     std::uint64_t now = 0;
 
-    std::unique_ptr<PlacementPolicy> place;  //!< null when Inherit
-    std::unique_ptr<MigrationPolicy> mig;    //!< NullMigration when Off
+    std::unique_ptr<MigrationPolicy> mig;  //!< NullMigration when Off
 
     trace::Tracer *tr = nullptr;  //!< null-checked, like every hook
 };

@@ -4,17 +4,18 @@
  *
  * The paper uses the `TCP_UTCL1_TRANSLATION_MISS_sum` counter as a
  * proxy for fragment sizes (Section 5.3). Engines report GPU events
- * into a CounterRegistry; this adapter exposes them under the rocprof
- * counter names.
+ * into the System's trace::MetricsRegistry; this adapter exposes them
+ * under the rocprof counter names.
  */
 
 #ifndef UPM_PROF_ROCPROF_HH
 #define UPM_PROF_ROCPROF_HH
 
 #include <cstdint>
+#include <map>
 #include <string>
 
-#include "prof/counters.hh"
+#include "trace/metrics.hh"
 
 namespace upm::prof {
 
@@ -32,7 +33,7 @@ inline const std::string kKernels = "SQ_KERNELS_sum";
 class RocprofSession
 {
   public:
-    explicit RocprofSession(CounterRegistry &counter_registry)
+    explicit RocprofSession(trace::MetricsRegistry &counter_registry)
         : counters(counter_registry)
     {}
 
@@ -42,10 +43,10 @@ class RocprofSession
     /** @return counter delta since start(). */
     std::uint64_t delta(const std::string &name) const;
 
-    CounterRegistry &registry() { return counters; }
+    trace::MetricsRegistry &registry() { return counters; }
 
   private:
-    CounterRegistry &counters;
+    trace::MetricsRegistry &counters;
     std::map<std::string, std::uint64_t> baseline;
 };
 

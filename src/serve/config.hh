@@ -90,7 +90,7 @@ struct ServeConfig
 
     // ---- UPMPolicy -----------------------------------------------------
     /**
-     * Placement / migration / eviction policy for the node. With
+     * Migration / eviction policy for the node. With
      * `policy.enabled` false (the default) no engine exists and the
      * serving path is byte-identical to the pre-policy node. When the
      * owning System already carries an engine (SystemConfig::policy),

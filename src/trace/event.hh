@@ -113,7 +113,9 @@ enum class EventKind : std::uint8_t {
     // residency decisions, and a new Layer would change
     // kAllLayersMask and every layer-filter surface.
     PolicyPlace,   //!< a=space, b=page/vpn, c=chosen socket,
-                   //!< d=PlacementKind
+                   //!< d=placement kind; no longer emitted (placement
+                   //!< is vm::SocketPolicy's), kept so packed kind ids
+                   //!< and old dumps still read
     PolicyMigrate, //!< a=space, b=page, c=destination tier,
                    //!< d=MigrationKind
     PolicyEvict,   //!< a=space, b=victim page, c=EvictionKind,

@@ -51,9 +51,9 @@ socketPolicyName(SocketPolicy policy)
     return "?";
 }
 
-AddressSpace::AddressSpace(mem::FrameAllocator &frame_allocator,
+AddressSpace::AddressSpace(mem::NodeMemory &node_memory,
                            mem::BackingStore &backing_store)
-    : frameAlloc(frame_allocator), backingStore(backing_store),
+    : node(node_memory), backingStore(backing_store),
       hmm(sysTable, gpuPt), nextBase(kMmapBase), vaEnd(kVaEnd)
 {
 }
@@ -77,7 +77,7 @@ AddressSpace::demoteReplicas()
     std::uint64_t pages = 0;
     for (auto &[base, vma] : vmas) {
         for (const auto &replica : vma.replicaRanges) {
-            if (!freeRouted(replica))
+            if (!node.freeRange(replica))
                 panic("demoteReplicas freed a replica frame the "
                       "allocator says is not allocated");
             pages += replica.count;
@@ -178,13 +178,13 @@ AddressSpace::munmap(VirtAddr base)
             }
         });
     freed.forEach([&](FrameId begin_frame, FrameId end_frame) {
-        if (!freeRouted({begin_frame, end_frame - begin_frame})) {
+        if (!node.freeRange({begin_frame, end_frame - begin_frame})) {
             panic("munmap freed a frame the allocator says is not "
                   "allocated");
         }
     });
     for (const auto &replica : vma.replicaRanges) {
-        if (!freeRouted(replica))
+        if (!node.freeRange(replica))
             panic("munmap freed a replica frame the allocator says is "
                   "not allocated");
     }
@@ -298,9 +298,9 @@ AddressSpace::tryPopulateRange(VirtAddr base, std::uint64_t size)
         holes.emplace_back(gap_begin, gap_end);
     });
     std::uint64_t populated = 0;
+    bool multi_socket = node.numSockets() > 1;
     bool interleave_sockets =
-        node != nullptr && node->numSockets() > 1 &&
-        vma->policy.socketPolicy == SocketPolicy::Interleave;
+        multi_socket && vma->policy.socketPolicy == SocketPolicy::Interleave;
     for (const auto &[hole_start, hole_end] : holes) {
         std::uint64_t n = hole_end - hole_start;
         // OOM mid-walk leaves earlier holes mapped; callers unwind by
@@ -324,7 +324,7 @@ AddressSpace::tryPopulateRange(VirtAddr base, std::uint64_t size)
             populated += n;
         }
     }
-    if (populated > 0 && node != nullptr && node->numSockets() > 1 &&
+    if (populated > 0 && multi_socket &&
         vma->policy.socketPolicy == SocketPolicy::ReplicateRO) {
         if (!replicate(*vma, populated))
             return {Status::OutOfMemory, populated};
@@ -337,25 +337,10 @@ AddressSpace::tryPopulateRange(VirtAddr base, std::uint64_t size)
 mem::FrameAllocator &
 AddressSpace::sourceFor(const Vma &vma)
 {
-    if (node == nullptr)
-        return frameAlloc;
-    unsigned sockets = node->numSockets();
-    if (pol != nullptr && pol->overridesPlacement()) {
-        // Engine override: the policy answers "which socket?", the
-        // VMA keeps the rotation cursor (const_cast: placement
-        // bookkeeping, not logical VMA state -- same as Interleave
-        // below).
-        Vma &mut = const_cast<Vma &>(vma);
-        policy::PlaceRequest req{curSocket, vma.policy.homeSocket,
-                                 sockets, mut.nextSocket};
-        policy::PlaceDecision decision =
-            pol->choosePlacement(polSpace, vma.beginVpn(), req);
-        mut.nextSocket = decision.nextCursor;
-        return node->shard(decision.socket % sockets);
-    }
+    unsigned sockets = node.numSockets();
     switch (vma.policy.socketPolicy) {
       case SocketPolicy::FirstTouch:
-        return node->shard(curSocket % sockets);
+        return node.shard(curSocket % sockets);
       case SocketPolicy::Interleave: {
         // Rotating cursor: populate chunks and fault batches take the
         // next socket in turn (const_cast: the cursor is placement
@@ -363,12 +348,12 @@ AddressSpace::sourceFor(const Vma &vma)
         Vma &mut = const_cast<Vma &>(vma);
         unsigned s = mut.nextSocket % sockets;
         mut.nextSocket = (s + 1) % sockets;
-        return node->shard(s);
+        return node.shard(s);
       }
       case SocketPolicy::Home:
       case SocketPolicy::ReplicateRO:
       default:
-        return node->shard(vma.policy.homeSocket % sockets);
+        return node.shard(vma.policy.homeSocket % sockets);
     }
 }
 
@@ -411,7 +396,7 @@ AddressSpace::allocAndMap(Vma &vma, mem::FrameAllocator &src, Vpn vpn,
         vma.pagesScattered += n;
     else
         vma.pagesPlaced += n;
-    if (node != nullptr && tr != nullptr) {
+    if (node.numSockets() > 1 && tr != nullptr) {
         tr->emitAt(src.socket(), trace::EventKind::PagePlace, vpn, n,
                    src.socket(),
                    static_cast<std::uint64_t>(vma.policy.socketPolicy));
@@ -420,21 +405,14 @@ AddressSpace::allocAndMap(Vma &vma, mem::FrameAllocator &src, Vpn vpn,
 }
 
 bool
-AddressSpace::freeRouted(const mem::FrameRange &range)
-{
-    return node != nullptr ? node->freeRange(range)
-                           : frameAlloc.freeRange(range);
-}
-
-bool
 AddressSpace::replicate(Vma &vma, std::uint64_t n)
 {
-    unsigned sockets = node->numSockets();
+    unsigned sockets = node.numSockets();
     unsigned home = vma.policy.homeSocket % sockets;
     for (unsigned s = 0; s < sockets; ++s) {
         if (s == home)
             continue;
-        auto ranges = node->shard(s).allocRun(n);
+        auto ranges = node.shard(s).allocRun(n);
         if (!ranges)
             return false;
         for (const auto &range : *ranges) {
@@ -529,7 +507,7 @@ AddressSpace::tryResolveCpuFaultRange(Vpn first, Vpn last)
     }
     vma->pagesScattered += missing;
     cpuFaultCount += missing;
-    if (node != nullptr && tr != nullptr) {
+    if (node.numSockets() > 1 && tr != nullptr) {
         tr->emitAt(src.socket(), trace::EventKind::PagePlace, first,
                    missing, src.socket(),
                    static_cast<std::uint64_t>(
@@ -660,7 +638,7 @@ AddressSpace::resolveGpuFault(Vpn first, std::uint64_t count)
         pol->advanceTick();
         pol->noteAccessRange(polSpace, first, last - first);
     }
-    if (node != nullptr && tr != nullptr) {
+    if (node.numSockets() > 1 && tr != nullptr) {
         tr->emitAt(src.socket(), trace::EventKind::PagePlace, first,
                    holes.size(), src.socket(),
                    static_cast<std::uint64_t>(
@@ -712,7 +690,7 @@ AddressSpace::framesOf(VirtAddr base, std::uint64_t size) const
 std::vector<std::uint64_t>
 AddressSpace::stackLoadOf(VirtAddr base, std::uint64_t size) const
 {
-    return frameAlloc.geometry().stackLoad(framesOf(base, size));
+    return node.geometry().stackLoad(framesOf(base, size));
 }
 
 void

@@ -55,9 +55,8 @@ enum class Placement : std::uint8_t {
 };
 
 /**
- * Which socket's HBM shard serves a VMA on a multi-socket node.
- * Irrelevant (and ignored) on a single-socket System, where no
- * NodeMemory is attached and every allocation takes the legacy path.
+ * Which socket's HBM shard serves a VMA. On a single-socket node every
+ * policy resolves to shard 0.
  */
 enum class SocketPolicy : std::uint8_t {
     Default,      //!< resolve to the address space's default at mmap
@@ -162,7 +161,7 @@ struct [[nodiscard]] PopulateResult
 class AddressSpace
 {
   public:
-    AddressSpace(mem::FrameAllocator &frame_allocator,
+    AddressSpace(mem::NodeMemory &node_memory,
                  mem::BackingStore &backing_store);
 
     /**
@@ -276,7 +275,6 @@ class AddressSpace
     GpuPageTable &gpuTable() { return gpuPt; }
     const GpuPageTable &gpuTable() const { return gpuPt; }
     HmmMirror &mirror() { return hmm; }
-    mem::FrameAllocator &frames() { return frameAlloc; }
     mem::BackingStore &backing() { return backingStore; }
 
     bool xnackEnabled() const { return xnack; }
@@ -304,14 +302,9 @@ class AddressSpace
      */
     std::uint64_t demoteReplicas();
 
-    /**
-     * Attach the multi-socket frame shards. Null (the default) keeps
-     * the legacy single-allocator paths -- byte-identical behaviour.
-     * With a node attached, allocations route to shards per the VMA's
-     * SocketPolicy and frees route by global frame id.
-     */
-    void setNode(mem::NodeMemory *node_memory) { node = node_memory; }
-    mem::NodeMemory *nodeMemory() { return node; }
+    /** The frame shards: allocations route to a shard per the VMA's
+     *  SocketPolicy, frees route by global frame id. */
+    const mem::NodeMemory &nodeMemory() const { return node; }
 
     /** Socket the currently-executing engine runs on (stamps
      *  first-touch placement; 0 on single-socket nodes). */
@@ -334,12 +327,10 @@ class AddressSpace
 
     /**
      * Attach UPMPolicy. Null (the default) keeps every legacy path --
-     * byte-identical behaviour. With an engine whose PlacementKind is
-     * not Inherit, sourceFor() routes socket choice through the
-     * engine instead of the VMA's SocketPolicy; fault resolutions
-     * feed the engine's access counters either way. @p space_id
-     * namespaces this address space's pages in engine PageKeys
-     * (0 for the primary space, the pid for process spaces).
+     * byte-identical behaviour. Fault resolutions feed the engine's
+     * access counters. @p space_id namespaces this address space's
+     * pages in engine PageKeys (0 for the primary space, the pid for
+     * process spaces).
      */
     void setPolicyEngine(policy::PolicyEngine *engine,
                          std::uint64_t space_id = 0);
@@ -378,20 +369,17 @@ class AddressSpace
     void emitListExtents(Vpn vpn, const FrameId *frames,
                          std::uint64_t n);
     /** Shard serving @p vma's next allocation on this fault/populate
-     *  path (the legacy allocator when no node is attached). */
+     *  path, per its SocketPolicy. */
     mem::FrameAllocator &sourceFor(const Vma &vma);
     /** Allocate @p n frames from @p src per @p vma's placement and map
      *  them at @p vpn. @return false on OOM (nothing mapped). */
     bool allocAndMap(Vma &vma, mem::FrameAllocator &src, Vpn vpn,
                      std::uint64_t n);
-    /** Free a frame run through the node (shard-routed) or the legacy
-     *  allocator. */
-    bool freeRouted(const mem::FrameRange &range);
     /** ReplicateRO: allocate read-only replicas of @p n pages on every
      *  non-home socket. @return false on OOM. */
     bool replicate(Vma &vma, std::uint64_t n);
 
-    mem::FrameAllocator &frameAlloc;
+    mem::NodeMemory &node;
     mem::BackingStore &backingStore;
     SystemPageTable sysTable;
     GpuPageTable gpuPt;
@@ -402,8 +390,6 @@ class AddressSpace
     /** Exclusive end of the VA window (default: base + 1 TiB). */
     VirtAddr vaEnd;
     bool xnack = false;
-    /** Multi-socket shards; null on a single-socket System. */
-    mem::NodeMemory *node = nullptr;
     unsigned curSocket = 0;
     SocketPolicy defSocketPolicy = SocketPolicy::Home;
     unsigned defHomeSocket = 0;

@@ -9,6 +9,7 @@
 
 #include "alloc/registry.hh"
 #include "common/log.hh"
+#include "mem/node.hh"
 
 namespace upm::alloc {
 namespace {
@@ -16,8 +17,9 @@ namespace {
 class AllocTest : public ::testing::Test
 {
   protected:
-    AllocTest() : geom(geomConfig()), frames(geom), as(frames, store),
-                  registry(as)
+    AllocTest()
+        : geom(geomConfig()), node(geom, {}, 1), frames(node.shard(0)),
+          as(node, store), registry(as)
     {}
 
     static mem::MemGeometryConfig
@@ -35,7 +37,8 @@ class AllocTest : public ::testing::Test
     }
 
     mem::MemGeometry geom;
-    mem::FrameAllocator frames;
+    mem::NodeMemory node;
+    mem::FrameAllocator &frames;
     mem::BackingStore store;
     vm::AddressSpace as;
     AllocatorRegistry registry;
@@ -227,9 +230,10 @@ TEST_P(AllocRoundTrip, AllocateFreeRestoresFrames)
     mem::MemGeometryConfig cfg;
     cfg.capacityBytes = 256 * MiB;
     mem::MemGeometry geom(cfg);
-    mem::FrameAllocator frames(geom);
+    mem::NodeMemory node(geom, {}, 1);
+    mem::FrameAllocator &frames = node.shard(0);
     mem::BackingStore store;
-    vm::AddressSpace as(frames, store);
+    vm::AddressSpace as(node, store);
     AllocatorRegistry registry(as);
     as.setXnack(true);
 

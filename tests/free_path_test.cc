@@ -14,6 +14,7 @@
 #include "audit/auditor.hh"
 #include "mem/backing_store.hh"
 #include "mem/frame_allocator.hh"
+#include "mem/node.hh"
 #include "vm/address_space.hh"
 
 namespace upm {
@@ -112,18 +113,19 @@ TEST_F(FreeRangeHoleTest, AuditedAndUnauditedMatchPerPageOracle)
     expectSameState(*oracle2, *audited);
 }
 
-/** A frame allocator, backing store and address space, optionally
+/** A 1-socket node, backing store and address space, optionally
  *  audited. */
 struct Space
 {
     explicit Space(const mem::MemGeometry &geom, audit::Auditor *aud)
-        : frames(geom), as(frames, store)
+        : node(geom, {}, 1), frames(node.shard(0)), as(node, store)
     {
-        frames.setAuditor(aud);
+        node.setAuditor(aud);
         as.setAuditor(aud);
     }
 
-    mem::FrameAllocator frames;
+    mem::NodeMemory node;
+    mem::FrameAllocator &frames;
     mem::BackingStore store;
     vm::AddressSpace as;
 };

@@ -1,10 +1,10 @@
 /**
  * @file
- * MetricsRegistry tests: the counter API the old `upm::prof` registry
- * exposed (now a type alias, so the rocprofv3/perf adapters compile
- * against the same class), the histogram surface, thread safety of a
- * single registry, and per-System registry isolation under a worker
- * pool -- the regression the registry consolidation was done for.
+ * MetricsRegistry tests: the counter API the profiling surfaces
+ * (System::counters(), the rocprofv3 adapter) use directly, the
+ * histogram surface, thread safety of a single registry, and
+ * per-System registry isolation under a worker pool -- the regression
+ * the registry consolidation was done for.
  * No randomness in this file (test hygiene: nothing to seed).
  */
 
@@ -12,11 +12,11 @@
 
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/system.hh"
 #include "exec/task_pool.hh"
-#include "prof/counters.hh"
 #include "prof/rocprof.hh"
 #include "trace/metrics.hh"
 
@@ -25,11 +25,16 @@ namespace {
 
 TEST(Metrics, ProfRegistryIsTheMetricsRegistry)
 {
-    // The alias is the compatibility contract: every probe and
-    // adapter written against prof::CounterRegistry now runs on the
-    // thread-safe registry without a cast anywhere.
-    static_assert(
-        std::is_same_v<prof::CounterRegistry, MetricsRegistry>);
+    // The profiling surfaces name the thread-safe registry directly:
+    // the System's counters and a rocprof session's registry are the
+    // same class, with no cast anywhere.
+    static_assert(std::is_same_v<
+                  decltype(std::declval<core::System &>().counters()),
+                  MetricsRegistry &>);
+    static_assert(std::is_same_v<
+                  decltype(std::declval<prof::RocprofSession &>()
+                               .registry()),
+                  MetricsRegistry &>);
     SUCCEED();
 }
 

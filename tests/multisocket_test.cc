@@ -1,10 +1,12 @@
 /**
  * @file
- * Multi-socket System tests: shard-0 bit-identity with the legacy
- * unsharded allocator, global frame-id routing through NodeMemory,
- * socket-stamped traces, per-socket meminfo, placement policies under
- * UPMSan on an oversubscribed 4-socket node, worker-count invariance
- * of the inter-APU sweep, and the packed-trace v2 header gate.
+ * Multi-socket System tests: shard-0 bit-identity with a bare
+ * FrameAllocator, global frame-id routing through NodeMemory,
+ * socket-stamped traces, per-socket meminfo, node-wide runtime memory
+ * accounting, placement policies under UPMSan on an oversubscribed
+ * 4-socket node, the owning socket of every page under each
+ * vm::SocketPolicy, worker-count invariance of the inter-APU sweep,
+ * and the packed-trace v2 header gate.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "core/interapu_probe.hh"
 #include "core/system.hh"
 #include "exec/task_pool.hh"
+#include "mem/backing_store.hh"
 #include "mem/node.hh"
 #include "trace/sink.hh"
 
@@ -265,6 +268,32 @@ TEST(MultiSocket, ReplicateReadOnlyFramesAreNotLeaks)
     EXPECT_TRUE(sys.auditor()->violations().empty());
 }
 
+TEST(MultiSocket, PeakBytesCountEveryShard)
+{
+    // The runtime's peak is node-wide: an allocation homed on socket 1
+    // leaves shard 0 untouched but still counts.
+    System sys(smallConfig(2));
+    sys.allocators().setSocketPlacement(vm::SocketPolicy::Home, 1);
+    hip::DevPtr p = sys.runtime().hipMalloc(64 * MiB);
+    EXPECT_EQ(sys.runtime().peakBytesUsed(), 64 * MiB);
+    sys.runtime().freeChecked(p);
+    EXPECT_EQ(sys.runtime().peakBytesUsed(), 64 * MiB);
+}
+
+TEST(MultiSocket, MemGetInfoSpansTheNode)
+{
+    // 384 MiB interleaved over 2 x 256 MiB fits the node but not one
+    // socket: capacity is both shards, so free bytes cannot wrap.
+    System sys(smallConfig(2));
+    sys.allocators().setSocketPlacement(vm::SocketPolicy::Interleave);
+    hip::DevPtr p = sys.runtime().hipMalloc(384 * MiB);
+    hip::MemInfo info = sys.runtime().hipMemGetInfo();
+    EXPECT_EQ(info.totalBytes, 512 * MiB);
+    EXPECT_EQ(info.freeBytes, 128 * MiB);
+    sys.runtime().freeChecked(p);
+    EXPECT_EQ(sys.runtime().hipMemGetInfo().freeBytes, 512 * MiB);
+}
+
 TEST(MultiSocket, InterApuSweepIsWorkerCountInvariant)
 {
     // The bench contract: per-point Systems, pure model queries, so
@@ -305,6 +334,132 @@ TEST(MultiSocket, InterApuSweepIsWorkerCountInvariant)
             EXPECT_EQ(w1[i].r.faultServiceTime,
                       other->r.faultServiceTime);
         }
+    }
+}
+
+// ---- Placement: the vm::SocketPolicy switch ---------------------------
+
+/** How a placement case brings its pages in. */
+enum class PlacePath { Populate, CpuFault, GpuFault };
+
+/** Owning socket of every page of [base, base + chunks x 2 MiB), one
+ *  entry per 2 MiB chunk; -1 marks a chunk whose pages disagree. */
+std::vector<int>
+chunkOwners(const vm::AddressSpace &as, const mem::NodeMemory &node,
+            vm::VirtAddr base, unsigned chunks)
+{
+    std::vector<int> owners;
+    for (unsigned c = 0; c < chunks; ++c) {
+        auto frames = as.framesOf(base + c * 2 * MiB, 2 * MiB);
+        int owner = frames.size() == (2 * MiB) / mem::kPageSize
+                        ? static_cast<int>(
+                              node.socketOfFrame(frames.front()))
+                        : -1;
+        for (auto f : frames) {
+            if (static_cast<int>(node.socketOfFrame(f)) != owner)
+                owner = -1;
+        }
+        owners.push_back(owner);
+    }
+    return owners;
+}
+
+TEST(Placement, SocketPolicyPinsEveryPageOwner)
+{
+    struct Case
+    {
+        const char *label;
+        vm::SocketPolicy policy;
+        unsigned home;
+        /** Socket the faulting engine runs on. */
+        unsigned access;
+        PlacePath path;
+        /** Bytes brought in per step, in order, from the VMA base. */
+        std::vector<std::uint64_t> steps;
+        /** Owning socket of each 2 MiB chunk. */
+        std::vector<int> owners;
+    };
+    const Case cases[] = {
+        {"home 2", vm::SocketPolicy::Home, 2, 0, PlacePath::Populate,
+         {8 * MiB}, {2, 2, 2, 2}},
+        {"first-touch cpu", vm::SocketPolicy::FirstTouch, 0, 3,
+         PlacePath::CpuFault, {8 * MiB}, {3, 3, 3, 3}},
+        {"first-touch gpu", vm::SocketPolicy::FirstTouch, 0, 3,
+         PlacePath::GpuFault, {8 * MiB}, {3, 3, 3, 3}},
+        // The rotation cursor lives on the VMA: a second populate of
+        // the same VMA picks up where the first stopped.
+        {"interleave", vm::SocketPolicy::Interleave, 0, 0,
+         PlacePath::Populate, {6 * MiB, 4 * MiB}, {0, 1, 2, 3, 0}},
+        {"replicate-ro", vm::SocketPolicy::ReplicateRO, 1, 0,
+         PlacePath::Populate, {8 * MiB}, {1, 1, 1, 1}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.label);
+        mem::MemGeometry geom(smallConfig(1).geometry);
+        mem::NodeMemory node(geom, {}, 4);
+        mem::BackingStore store;
+        vm::AddressSpace as(node, store);
+        as.setXnack(true);
+        as.setCurrentSocket(c.access);
+        const std::uint64_t free0 = node.freeFrames();
+
+        vm::VmaPolicy policy;
+        policy.onDemand = c.path != PlacePath::Populate;
+        policy.placement = c.path == PlacePath::Populate
+                               ? vm::Placement::Contiguous
+                               : vm::Placement::Scattered;
+        policy.socketPolicy = c.policy;
+        policy.homeSocket = c.home;
+        std::uint64_t bytes = 0;
+        for (std::uint64_t step : c.steps)
+            bytes += step;
+        vm::VirtAddr base = as.mmapAnon(bytes, policy, c.label);
+
+        std::uint64_t offset = 0;
+        for (std::uint64_t step : c.steps) {
+            vm::Vpn first = vm::vpnOf(base + offset);
+            std::uint64_t pages = step / mem::kPageSize;
+            switch (c.path) {
+              case PlacePath::Populate:
+                EXPECT_EQ(as.populateRange(base + offset, step), pages);
+                break;
+              case PlacePath::CpuFault:
+                EXPECT_EQ(as.resolveCpuFaultRange(first, first + pages),
+                          pages);
+                break;
+              case PlacePath::GpuFault:
+                EXPECT_EQ(as.resolveGpuFault(first, pages),
+                          vm::GpuFaultKind::Major);
+                break;
+            }
+            offset += step;
+        }
+        EXPECT_EQ(chunkOwners(as, node, base,
+                              static_cast<unsigned>(c.owners.size())),
+                  c.owners);
+
+        // ReplicateRO: beside the home copy, every other socket holds
+        // a full read-only replica the page tables never map.
+        const vm::Vma *vma = as.findVma(base);
+        ASSERT_NE(vma, nullptr);
+        std::vector<std::uint64_t> replica_pages(node.numSockets(), 0);
+        for (const auto &range : vma->replicaRanges) {
+            unsigned s = node.socketOfFrame(range.base);
+            EXPECT_EQ(node.socketOfFrame(range.base + range.count - 1),
+                      s);
+            replica_pages[s] += range.count;
+        }
+        for (unsigned s = 0; s < node.numSockets(); ++s) {
+            bool replica = c.policy == vm::SocketPolicy::ReplicateRO &&
+                           s != c.home;
+            EXPECT_EQ(replica_pages[s],
+                      replica ? bytes / mem::kPageSize : 0u)
+                << "socket " << s;
+        }
+
+        // munmap returns the home copy and every replica.
+        EXPECT_EQ(as.munmap(base), Status::Success);
+        EXPECT_EQ(node.freeFrames(), free0);
     }
 }
 

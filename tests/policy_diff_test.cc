@@ -331,6 +331,28 @@ TEST(PolicyDiff, PageIndexMatchesMapUnderSmallTableChurn)
     }
 }
 
+TEST(PolicyDiff, PageIndexRehashesLiveKeysOnGrow)
+{
+    // 1000 distinct keys grow the table from 64 to 2048 slots; every
+    // grow re-places the live ids, after which each key must still
+    // resolve to its node. clear() then forgets them all at once.
+    std::vector<PageKey> keyOf;  // node id -> key
+    auto lookup = [&](std::uint32_t id) { return keyOf[id]; };
+    PageIndex index;
+    for (std::uint64_t n = 0; n < 1000; ++n) {
+        PageKey key{1 + n % 4, n * 7};
+        auto id = static_cast<std::uint32_t>(keyOf.size());
+        keyOf.push_back(key);
+        index.insert(key, id, lookup);
+    }
+    ASSERT_EQ(index.size(), keyOf.size());
+    for (std::uint32_t id = 0; id < keyOf.size(); ++id)
+        ASSERT_EQ(index.find(keyOf[id], lookup), id);
+    index.clear();
+    EXPECT_EQ(index.size(), 0u);
+    EXPECT_EQ(index.find(keyOf.front(), lookup), kNil);
+}
+
 // ---- Oracle 2: the retired list-LRU uvm simulator -----------------------
 
 /**

@@ -1,10 +1,9 @@
 /**
  * @file
  * UPMPolicy unit tests: eviction-policy semantics and tie-breaks
- * (including the evictOne() lowest-page-id regression), placement
- * parity with the legacy vm::SocketPolicy arms, engine counters and
- * trace emission, replay folding of the policy events, and the
- * System / ServeNode wiring of the `pol` hook.
+ * (including the evictOne() lowest-page-id regression), engine
+ * counters and trace emission, replay folding of the policy events,
+ * and the System / ServeNode wiring of the `pol` hook.
  */
 
 #include <gtest/gtest.h>
@@ -186,13 +185,6 @@ TEST(Policy, NameParseRoundTrips)
         EXPECT_TRUE(parseEvictionKind(evictionKindName(kind), &out));
         EXPECT_EQ(out, kind);
     }
-    for (PlacementKind kind :
-         {PlacementKind::Inherit, PlacementKind::Home,
-          PlacementKind::FirstTouch, PlacementKind::Interleave}) {
-        PlacementKind out;
-        EXPECT_TRUE(parsePlacementKind(placementKindName(kind), &out));
-        EXPECT_EQ(out, kind);
-    }
     for (MigrationKind kind :
          {MigrationKind::Off, MigrationKind::HotCold}) {
         MigrationKind out;
@@ -201,89 +193,8 @@ TEST(Policy, NameParseRoundTrips)
     }
     EvictionKind ev;
     EXPECT_FALSE(parseEvictionKind("mru", &ev));
-    PlacementKind pl;
-    EXPECT_FALSE(parsePlacementKind("striped", &pl));
     MigrationKind mg;
     EXPECT_FALSE(parseMigrationKind("eager", &mg));
-}
-
-// ---- Placement policies -------------------------------------------------
-
-TEST(Placement, UnitChoicesMatchLegacyArms)
-{
-    PlaceRequest req;
-    req.accessSocket = 3;
-    req.homeSocket = 1;
-    req.numSockets = 4;
-    req.cursor = 6;
-
-    auto home = makePlacement(PlacementKind::Home);
-    EXPECT_EQ(home->choose(req).socket, 1u);
-    EXPECT_EQ(home->choose(req).nextCursor, 6u);  // cursor untouched
-
-    auto first = makePlacement(PlacementKind::FirstTouch);
-    EXPECT_EQ(first->choose(req).socket, 3u);
-
-    auto inter = makePlacement(PlacementKind::Interleave);
-    PlaceDecision d = inter->choose(req);
-    EXPECT_EQ(d.socket, 6u % 4u);
-    EXPECT_EQ(d.nextCursor, (6u % 4u + 1u) % 4u);
-
-    EXPECT_THROW(makePlacement(PlacementKind::Inherit), SimError);
-}
-
-/** Frames of @p p mapped to their owning sockets, in address order. */
-std::vector<unsigned>
-socketsOf(core::System &sys, hip::DevPtr p, std::uint64_t bytes)
-{
-    std::vector<unsigned> out;
-    for (auto f : sys.addressSpace().framesOf(p, bytes))
-        out.push_back(sys.nodeMemory().socketOfFrame(f));
-    return out;
-}
-
-/** Identical alloc+touch workload on a 4-socket System; placement via
- *  the legacy SocketPolicy arm or the engine's override. */
-std::vector<unsigned>
-placementRun(bool use_engine, vm::SocketPolicy legacy,
-             PlacementKind engine_kind, unsigned home)
-{
-    core::SystemConfig cfg;
-    cfg.numSockets = 4;
-    cfg.geometry.capacityBytes = 256 * MiB;
-    if (use_engine) {
-        cfg.policy.enabled = true;
-        cfg.policy.placement = engine_kind;
-    }
-    core::System sys(cfg);
-    sys.allocators().setSocketPlacement(legacy, home);
-    hip::DevPtr p = sys.runtime().hipMalloc(16 * MiB);
-    sys.runtime().cpuFirstTouch(p, 16 * MiB);
-    return socketsOf(sys, p, 16 * MiB);
-}
-
-TEST(Placement, EngineParityWithLegacySocketPolicy)
-{
-    struct Arm
-    {
-        vm::SocketPolicy legacy;
-        PlacementKind engine;
-        unsigned home;
-    };
-    const Arm arms[] = {
-        {vm::SocketPolicy::Home, PlacementKind::Home, 2},
-        {vm::SocketPolicy::FirstTouch, PlacementKind::FirstTouch, 0},
-        {vm::SocketPolicy::Interleave, PlacementKind::Interleave, 0},
-    };
-    for (const Arm &arm : arms) {
-        auto legacy =
-            placementRun(false, arm.legacy, arm.engine, arm.home);
-        auto engine =
-            placementRun(true, arm.legacy, arm.engine, arm.home);
-        ASSERT_FALSE(legacy.empty());
-        EXPECT_EQ(legacy, engine)
-            << vm::socketPolicyName(arm.legacy);
-    }
 }
 
 // ---- uvm integration ----------------------------------------------------
@@ -335,18 +246,15 @@ TEST(Uvm, LfuKeepsHotPageUnderStreaming)
 
 // ---- Engine -------------------------------------------------------------
 
-TEST(Engine, DefaultsInheritAndOff)
+TEST(Engine, DefaultsLruAndOff)
 {
     PolicyConfig cfg;
     cfg.enabled = true;
     PolicyEngine engine(cfg);
-    EXPECT_FALSE(engine.overridesPlacement());
     EXPECT_FALSE(engine.migrates());
     EXPECT_EQ(engine.makeEvictionPolicy()->kind(), EvictionKind::Lru);
     EXPECT_EQ(engine.residentIn(Tier::Fast), 0u);
     EXPECT_EQ(engine.residentIn(Tier::Slow), 0u);
-    EXPECT_THROW(engine.choosePlacement(0, 0, PlaceRequest{}),
-                 SimError);
 }
 
 TEST(Engine, AccessCountingCheapPathMatchesSlowPath)

@@ -17,7 +17,7 @@ namespace {
 
 TEST(Counters, AddSetReadReset)
 {
-    CounterRegistry reg;
+    trace::MetricsRegistry reg;
     EXPECT_EQ(reg.read("x"), 0u);
     reg.add("x");
     reg.add("x", 4);
@@ -30,7 +30,7 @@ TEST(Counters, AddSetReadReset)
 
 TEST(Counters, NamesAreSorted)
 {
-    CounterRegistry reg;
+    trace::MetricsRegistry reg;
     reg.add("zeta");
     reg.add("alpha");
     reg.add("mid");
@@ -44,7 +44,7 @@ TEST(Counters, NamesAreSorted)
 
 TEST(Rocprof, SessionDeltas)
 {
-    CounterRegistry reg;
+    trace::MetricsRegistry reg;
     reg.add(gpu_counters::kUtcl1TranslationMiss, 100);
     RocprofSession session(reg);
     session.start();

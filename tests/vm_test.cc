@@ -10,6 +10,7 @@
 
 #include "common/log.hh"
 #include "common/stats.hh"
+#include "mem/node.hh"
 #include "vm/address_space.hh"
 #include "vm/fault_handler.hh"
 
@@ -174,7 +175,8 @@ class AddressSpaceTest : public ::testing::Test
 {
   protected:
     AddressSpaceTest()
-        : geom(smallGeomConfig()), frames(geom), as(frames, store)
+        : geom(smallGeomConfig()), node(geom, {}, 1),
+          frames(node.shard(0)), as(node, store)
     {}
 
     VirtAddr
@@ -187,7 +189,8 @@ class AddressSpaceTest : public ::testing::Test
     }
 
     mem::MemGeometry geom;
-    mem::FrameAllocator frames;
+    mem::NodeMemory node;
+    mem::FrameAllocator &frames;
     mem::BackingStore store;
     AddressSpace as;
 };
@@ -353,9 +356,9 @@ TEST_F(AddressSpaceTest, ScatteredFractionTracksPlacementMix)
 TEST(HmmMirror, PropagatesOnlyPresentAndCountsWork)
 {
     mem::MemGeometry geom{smallGeomConfig()};
-    mem::FrameAllocator frames(geom);
+    mem::NodeMemory node(geom, {}, 1);
     mem::BackingStore store;
-    AddressSpace as(frames, store);
+    AddressSpace as(node, store);
     VmaPolicy policy;
     policy.onDemand = true;
     VirtAddr base = as.mmapAnon(64 * KiB, policy, "hmm");
