@@ -531,8 +531,7 @@ run(int argc, char **argv)
         policy::PolicyConfig pcfg;
         pcfg.enabled = true;
         pcfg.migration = policy::MigrationKind::HotCold;
-        policy::PolicyEngine engine(pcfg);
-        engine.setTracer(&tracer);
+        policy::PolicyEngine engine(pcfg, {.tr = &tracer});
 
         uvm::UvmSimulator sim(64 * MiB, EvictionKind::Lru, pcfg.seed);
         sim.setPolicyEngine(&engine);

@@ -6,8 +6,9 @@
 namespace upm::alloc {
 
 AllocatorRegistry::AllocatorRegistry(vm::AddressSpace &address_space,
-                                     const AllocCosts &costs)
-    : as(address_space), cost(costs), mallocSim(as, costs),
+                                     const AllocCosts &costs,
+                                     const Hooks &hooks)
+    : as(address_space), cost(costs), aud(hooks.aud), mallocSim(as, costs),
       hipMalloc(as, costs), hipHostMalloc(as, costs), hipManaged(as, costs),
       managedStatic(as, costs)
 {

@@ -13,15 +13,8 @@
 
 #include "alloc/hip_allocators.hh"
 #include "alloc/malloc_sim.hh"
+#include "common/hooks.hh"
 #include "vm/address_space.hh"
-
-namespace upm::audit {
-class Auditor;
-}
-
-namespace upm::policy {
-class PolicyEngine;
-}
 
 namespace upm::alloc {
 
@@ -33,7 +26,8 @@ class AllocatorRegistry
 {
   public:
     explicit AllocatorRegistry(vm::AddressSpace &address_space,
-                               const AllocCosts &costs = {});
+                               const AllocCosts &costs = {},
+                               const Hooks &hooks = {});
 
     /**
      * Allocate @p size bytes with the given allocator configuration.
@@ -75,29 +69,15 @@ class AllocatorRegistry
         return as.defaultSocketPolicy();
     }
 
-    /** Attach UPMSan: allocate/deallocate shadow the live-range map
-     *  that powers the overlap and use-after-free checks. */
-    void setAuditor(audit::Auditor *auditor) { aud = auditor; }
-
-    /**
-     * Attach UPMPolicy. The registry itself allocates through the
-     * address space, which consults the engine directly; the pointer
-     * is kept here so callers holding only the registry (benches,
-     * serve admission) can reach placement/eviction decisions and
-     * stats without a System reference.
-     */
-    void setPolicyEngine(policy::PolicyEngine *engine) { pol = engine; }
-    policy::PolicyEngine *policyEngine() const { return pol; }
-
   private:
     Allocator &allocatorFor(AllocatorKind kind);
 
     vm::AddressSpace &as;
     AllocCosts cost;
-    /** UPMSan hook; null (no overhead) unless auditing is enabled. */
+    /** UPMSan hook; null (no overhead) unless auditing is enabled.
+     *  allocate/deallocate shadow the live-range map that powers the
+     *  overlap and use-after-free checks. */
     audit::Auditor *aud = nullptr;
-    /** UPMPolicy hook; null (no overhead) unless policy is enabled. */
-    policy::PolicyEngine *pol = nullptr;
     MallocSim mallocSim;
     HipMallocAllocator hipMalloc;
     HipHostMallocAllocator hipHostMalloc;

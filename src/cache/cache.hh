@@ -2,10 +2,12 @@
  * @file
  * Functional set-associative cache model with LRU replacement.
  *
- * Used directly for small structures that need per-access fidelity
- * (TLB backing tests, directory experiments) and as the reference
- * implementation that the analytic hit-fraction models in
- * `hierarchy.hh` are validated against in the test suite.
+ * No simulated layer instantiates it: the timing model uses the
+ * analytic hit fractions of `hierarchy.hh`. The test suite uses it as
+ * a functional check of the min(1, C/S) uniform-access assumption
+ * behind those fractions (tests/cache_test.cc, AnalyticVsFunctional,
+ * which evaluates the formula inline rather than through
+ * `hierarchy.hh`).
  */
 
 #ifndef UPM_CACHE_CACHE_HH
@@ -13,10 +15,6 @@
 
 #include <cstdint>
 #include <vector>
-
-namespace upm::trace {
-class Tracer;
-}
 
 namespace upm::cache {
 
@@ -59,10 +57,6 @@ class SetAssocCache
     unsigned numSets() const { return sets; }
     const CacheConfig &config() const { return cfg; }
 
-    /** Attach UPMTrace: emits CacheHit / CacheFill (miss) / CacheEvict
-     *  (valid-victim replacement) per access(). */
-    void setTracer(trace::Tracer *tracer) { tr = tracer; }
-
   private:
     struct Way
     {
@@ -80,8 +74,6 @@ class SetAssocCache
     std::uint64_t stamp = 0;
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;
-    /** UPMTrace hook; null (no overhead) unless tracing is on. */
-    trace::Tracer *tr = nullptr;
 };
 
 } // namespace upm::cache

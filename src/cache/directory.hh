@@ -17,11 +17,8 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "common/hooks.hh"
 #include "common/units.hh"
-
-namespace upm::audit {
-class Auditor;
-}
 
 namespace upm::cache {
 
@@ -53,7 +50,10 @@ struct CoherenceCosts
 class Directory
 {
   public:
-    explicit Directory(const CoherenceCosts &costs = {}) : cost(costs) {}
+    explicit Directory(const CoherenceCosts &costs = {},
+                       const Hooks &hooks = {})
+        : cost(costs), aud(hooks.aud)
+    {}
 
     /**
      * CPU core @p core performs an atomic on @p line.
@@ -79,14 +79,6 @@ class Directory
 
     const CoherenceCosts &costs() const { return cost; }
 
-    /**
-     * Attach UPMSan. Every ownership transfer is mirrored into the
-     * auditor's dirty-line shadow (release previous owner, then take
-     * exclusive), so a directory transition that skipped the
-     * invalidation shows up as DirtyInTwoCaches.
-     */
-    void setAuditor(audit::Auditor *auditor) { aud = auditor; }
-
   private:
     struct Entry
     {
@@ -96,7 +88,11 @@ class Directory
 
     CoherenceCosts cost;
     std::unordered_map<std::uint64_t, Entry> lines;
-    /** UPMSan hook; null (no overhead) unless auditing is enabled. */
+    /** UPMSan hook; null (no overhead) unless auditing is enabled.
+     *  Every ownership transfer is mirrored into the auditor's
+     *  dirty-line shadow (release previous owner, then take
+     *  exclusive), so a directory transition that skipped the
+     *  invalidation shows up as DirtyInTwoCaches. */
     audit::Auditor *aud = nullptr;
 };
 

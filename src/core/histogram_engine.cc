@@ -20,8 +20,8 @@ HistogramEngine::run(const HistogramParams &params)
 
     auto &rt = sys.runtime();
     const auto &cal = sys.config().atomicsModel;
-    cache::Directory directory(sys.config().coherence);
-    directory.setAuditor(sys.auditor());
+    cache::Directory directory(sys.config().coherence,
+                              {.aud = sys.auditor()});
     cache::AtomicUnitModel unit(sys.config().atomics);
 
     // The functional histogram lives in a unified allocation.

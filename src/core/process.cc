@@ -23,47 +23,17 @@ faultSeedFor(std::uint64_t pid)
 Process::Process(System &system, std::uint64_t pid, vm::VirtAddr va_base,
                  vm::VirtAddr va_end)
     : sys(system), id(pid),
-      as(system.nodeMemory(), backingStore),
-      faults(system.config().faults, faultSeedFor(pid)), registry(as),
-      rt(as, registry, faults, system.config(), system.geometry())
+      // The pid namespaces this process's pages in engine PageKeys
+      // (the primary address space is space 0).
+      as(system.nodeMemory(), backingStore, system.hooks(calendar, pid)),
+      faults(system.config().faults, faultSeedFor(pid),
+             system.hooks(calendar, pid)),
+      registry(as, {}, system.hooks(calendar, pid)),
+      rt(as, registry, faults, system.config(), system.geometry(),
+         system.hooks(calendar, pid))
 {
     as.setVaWindow(va_base, va_end);
-    rt.setCalendar(&calendar);
-    // Mirror the System's own wiring (system.cc): fabric on
-    // multi-socket nodes, then the shared aud/inj/trc hooks. The node
-    // itself already holds those hooks; only per-process components
-    // are wired here.
-    if (sys.numSockets() > 1) {
-        faults.setFabric(sys.fabric());
-        rt.perf().setFabric(sys.fabric(),
-                            sys.nodeMemory().framesPerSocket());
-        std::vector<const cache::InfinityCache *> caches;
-        caches.reserve(sys.numSockets());
-        for (unsigned s = 0; s < sys.numSockets(); ++s)
-            caches.push_back(&sys.socket(s).icache);
-        rt.perf().setSocketCaches(std::move(caches));
-    }
-    if (audit::Auditor *aud = sys.auditor()) {
-        as.setAuditor(aud);
-        registry.setAuditor(aud);
-        rt.setAuditor(aud);
-    }
-    if (inject::Injector *inj = sys.injector()) {
-        faults.setInjector(inj);
-        rt.setInjector(inj);
-    }
-    if (trace::Tracer *tr = sys.tracer()) {
-        as.setTracer(tr); // wires the HMM mirror too
-        faults.setTracer(tr);
-        rt.setTracer(tr); // wires the perf model too
-    }
-    if (policy::PolicyEngine *pol = sys.policyEngine()) {
-        // The pid namespaces this process's pages in engine PageKeys
-        // (the primary address space is space 0).
-        as.setPolicyEngine(pol, pid);
-        registry.setPolicyEngine(pol);
-        rt.setPolicyEngine(pol, pid);
-    }
+    sys.wireSockets(faults, rt.perf());
     sys.registerProcess(this);
 }
 

@@ -9,8 +9,8 @@
  * same shards, so the per-process half of the wiring is factored out
  * here: a Process owns its backing store, address space, fault
  * handler, allocator registry, runtime and event calendar, while the
- * frames, fabric and the aud/inj/trc hooks stay shared with (and wired
- * from) the owning System.
+ * frames, fabric and the aud/tr/inj/pol hooks stay shared with the
+ * owning System, whose hook bundle builds every per-process layer.
  *
  * Two contracts matter for the long-soak robustness story:
  *
@@ -68,6 +68,8 @@ class Process
     vm::FaultHandler &faultHandler() { return faults; }
     alloc::AllocatorRegistry &allocators() { return registry; }
     hip::Runtime &runtime() { return rt; }
+    /** This process's own event calendar (its runtime's `cal`). */
+    sched::EventCalendar &eventCalendar() { return calendar; }
     System &system() { return sys; }
 
     /**
@@ -85,16 +87,17 @@ class Process
   private:
     System &sys;
     std::uint64_t id;
-    // Declaration order is construction order: the address space needs
-    // the backing store, the registry needs the address space, the
-    // runtime needs all three.
+    // Declaration order is construction order: every layer's hook
+    // bundle names the calendar, the address space needs the backing
+    // store, the registry needs the address space, the runtime needs
+    // all three.
+    /** Private event calendar (per-process clocks and queues). */
+    sched::EventCalendar calendar;
     mem::BackingStore backingStore;
     vm::AddressSpace as;
     vm::FaultHandler faults;
     alloc::AllocatorRegistry registry;
     hip::Runtime rt;
-    /** Private event calendar (per-process clocks and queues). */
-    sched::EventCalendar calendar;
 };
 
 } // namespace upm::core

@@ -26,64 +26,65 @@ constexpr std::uint64_t kProcessVaSpan = 64 * GiB;
 
 System::System(const SystemConfig &config)
     : cfg(config), apuTopo(cfg), geom(cfg.geometry),
-      node(geom, cfg.frames, cfg.numSockets),
-      as(node, backingStore), faults(cfg.faults), registry(as),
-      rt(as, registry, faults, cfg, geom), numaMeminfo(node.shard(0)),
-      processRss(as)
+      aud(cfg.audit.enabled ? std::make_unique<audit::Auditor>(cfg.audit)
+                            : nullptr),
+      trc(cfg.trace.enabled ? std::make_unique<trace::Tracer>(cfg.trace)
+                            : nullptr),
+      inj(cfg.inject.enabled
+              ? std::make_unique<inject::Injector>(cfg.inject,
+                                                   Hooks{.tr = trc.get()})
+              : nullptr),
+      pol(cfg.policy.enabled
+              ? std::make_unique<policy::PolicyEngine>(
+                    cfg.policy, Hooks{.tr = trc.get()})
+              : nullptr),
+      node(geom, cfg.frames, cfg.numSockets, hooks(calendar, 0)),
+      as(node, backingStore, hooks(calendar, 0)),
+      faults(cfg.faults, vm::FaultHandler::kDefaultSeed,
+             hooks(calendar, 0)),
+      registry(as, {}, hooks(calendar, 0)),
+      rt(as, registry, faults, cfg, geom, hooks(calendar, 0)),
+      numaMeminfo(node.shard(0)), processRss(as)
 {
-    rt.setCalendar(&calendar);
+    if (trc)
+        trc->setClock(&rt.clock());
     socketList.reserve(node.numSockets());
     for (unsigned s = 0; s < node.numSockets(); ++s) {
         socketList.push_back(
             std::make_unique<Socket>(cfg, s, node.shard(s)));
     }
+    // The fabric exists only on multi-socket nodes; every consumer
+    // keeps a null default so the one-socket wiring stays byte
+    // identical to the pre-socket System.
     if (node.numSockets() > 1) {
-        // The fabric exists only on multi-socket nodes; every consumer
-        // keeps a null default so the one-socket wiring stays byte
-        // identical to the pre-socket System.
         fab = std::make_unique<fabric::Fabric>(cfg.fabric,
                                                node.numSockets());
-        faults.setFabric(fab.get());
-        rt.perf().setFabric(fab.get(), node.framesPerSocket());
-        // Per-socket Infinity Caches: each shard's working-set slice
-        // is covered by its own socket's 256 MiB, not a pooled cache.
-        std::vector<const cache::InfinityCache *> caches;
-        caches.reserve(socketList.size());
-        for (const auto &socket : socketList)
-            caches.push_back(&socket->icache);
-        rt.perf().setSocketCaches(std::move(caches));
     }
-    if (cfg.audit.enabled) {
-        aud = std::make_unique<audit::Auditor>(cfg.audit);
-        node.setAuditor(aud.get());
-        as.setAuditor(aud.get());
-        registry.setAuditor(aud.get());
-        rt.setAuditor(aud.get());
-    }
-    if (cfg.inject.enabled) {
-        inj = std::make_unique<inject::Injector>(cfg.inject);
-        node.setInjector(inj.get());
-        faults.setInjector(inj.get());
-        rt.setInjector(inj.get());
-    }
-    if (cfg.trace.enabled) {
-        trc = std::make_unique<trace::Tracer>(cfg.trace);
-        trc->setClock(&rt.clock());
-        node.setTracer(trc.get());
-        as.setTracer(trc.get());  // wires the HMM mirror too
-        faults.setTracer(trc.get());
-        rt.setTracer(trc.get());  // wires the perf model too
-        if (inj)
-            inj->setTracer(trc.get());
-    }
-    if (cfg.policy.enabled) {
-        pol = std::make_unique<policy::PolicyEngine>(cfg.policy);
-        if (pol && trc)
-            pol->setTracer(trc.get());
-        as.setPolicyEngine(pol.get(), 0);
-        registry.setPolicyEngine(pol.get());
-        rt.setPolicyEngine(pol.get(), 0);
-    }
+    wireSockets(faults, rt.perf());
+}
+
+Hooks
+System::hooks(sched::EventCalendar &events, std::uint64_t space) const
+{
+    // Reads only the observer members, which are declared (and so
+    // built) before any layer the constructor hands this bundle to.
+    return {aud.get(), trc.get(), inj.get(), &events, pol.get(), space};
+}
+
+void
+System::wireSockets(vm::FaultHandler &handler, hip::PerfModel &perf) const
+{
+    if (!fab)
+        return;
+    handler.setFabric(fab.get());
+    perf.setFabric(fab.get(), node.framesPerSocket());
+    // Per-socket Infinity Caches: each shard's working-set slice is
+    // covered by its own socket's 256 MiB, not a pooled cache.
+    std::vector<const cache::InfinityCache *> caches;
+    caches.reserve(socketList.size());
+    for (const auto &socket : socketList)
+        caches.push_back(&socket->icache);
+    perf.setSocketCaches(std::move(caches));
 }
 
 std::unique_ptr<Process>

@@ -28,6 +28,7 @@
 
 #include "alloc/registry.hh"
 #include "audit/auditor.hh"
+#include "common/hooks.hh"
 #include "core/apu.hh"
 #include "core/socket.hh"
 #include "fabric/fabric.hh"
@@ -131,8 +132,8 @@ class System
      * Create an additional simulated process over this node's shared
      * shards: its own address space (in a fresh, never-recycled 64 GiB
      * VA window past the primary window), fault handler, allocator
-     * registry and runtime, wired to this System's auditor / injector
-     * / tracer. The caller owns the Process and must destroy it before
+     * registry and runtime, built with this System's auditor /
+     * injector / tracer / policy engine. The caller owns the Process and must destroy it before
      * the System. The primary addressSpace()/runtime() pair is
      * untouched -- single-process users are byte-identical.
      */
@@ -150,9 +151,33 @@ class System
     void registerProcess(Process *process);
     void unregisterProcess(Process *process);
 
+    /** The bundle one address space's layers are built with: this
+     *  System's observers, @p events as the calendar, and policy
+     *  space @p space (0 for the primary space, the pid for a
+     *  process). */
+    Hooks hooks(sched::EventCalendar &events, std::uint64_t space) const;
+
+    /** Wire the xGMI fabric and the per-socket Infinity Caches into
+     *  one address space's fault handler and perf model; a no-op on a
+     *  one-socket node, which never consults either. */
+    void wireSockets(vm::FaultHandler &handler, hip::PerfModel &perf) const;
+
     SystemConfig cfg;
     Apu apuTopo;
     mem::MemGeometry geom;
+    // The observers come before every layer: they are built first, so
+    // each layer gets them at construction, and destroyed last, so
+    // they outlive every consumer.
+    /** UPMSan; created only when auditing is on. */
+    std::unique_ptr<audit::Auditor> aud;
+    /** UPMTrace; created only when tracing. */
+    std::unique_ptr<trace::Tracer> trc;
+    /** UPMInject; created only when injecting. */
+    std::unique_ptr<inject::Injector> inj;
+    /** UPMPolicy; created only when cfg.policy is enabled. */
+    std::unique_ptr<policy::PolicyEngine> pol;
+    /** Per-System event calendar of the primary runtime. */
+    sched::EventCalendar calendar;
     /** Per-socket HBM shards over the global frame space. */
     mem::NodeMemory node;
     mem::BackingStore backingStore;
@@ -160,8 +185,6 @@ class System
     vm::FaultHandler faults;
     alloc::AllocatorRegistry registry;
     hip::Runtime rt;
-    /** Per-System event calendar; wired into the runtime at birth. */
-    sched::EventCalendar calendar;
     trace::MetricsRegistry counterRegistry;
     prof::NumaMeminfo numaMeminfo;
     prof::ProcessRss processRss;
@@ -171,15 +194,6 @@ class System
     /** xGMI link model; created only when numSockets > 1 so a
      *  one-socket System never consults it (byte-identity). */
     std::unique_ptr<fabric::Fabric> fab;
-    /** Created (and wired into every layer) only when auditing is on. */
-    std::unique_ptr<audit::Auditor> aud;
-    /** Created (and wired into every layer) only when injecting. */
-    std::unique_ptr<inject::Injector> inj;
-    /** Created (and wired into every layer) only when tracing. */
-    std::unique_ptr<trace::Tracer> trc;
-    /** Created (and wired into vm + alloc) only when cfg.policy is
-     *  enabled; every consumer keeps a null default. */
-    std::unique_ptr<policy::PolicyEngine> pol;
     /** Live serving processes (owned by their creators), creation
      *  order -- finalizeAudit unions their page tables into the leak
      *  scan's mapped set. */

@@ -9,7 +9,8 @@
 namespace upm::hip {
 
 PerfModel::PerfModel(const core::SystemConfig &config,
-                     const mem::MemGeometry &geometry)
+                     const mem::MemGeometry &geometry,
+                     const Hooks &hooks)
     : cfg(config), geom(geometry), ic(geom, cfg.infinityCache),
       gpuCaches({{"L1", cfg.gpuCache.l1Capacity, cfg.gpuCache.l1Latency},
                  {"L2", cfg.gpuCache.l2Capacity, cfg.gpuCache.l2Latency}},
@@ -17,7 +18,8 @@ PerfModel::PerfModel(const core::SystemConfig &config,
       cpuCaches({{"L1", cfg.cpuCache.l1Capacity, cfg.cpuCache.l1Latency},
                  {"L2", cfg.cpuCache.l2Capacity, cfg.cpuCache.l2Latency},
                  {"L3", cfg.cpuCache.l3Capacity, cfg.cpuCache.l3Latency}},
-                cfg.cpuCache.icLatency, cfg.cpuCache.hbmLatency)
+                cfg.cpuCache.icLatency, cfg.cpuCache.hbmLatency),
+      tr(hooks.tr)
 {
 }
 

@@ -24,15 +24,12 @@
 
 #include "cache/hierarchy.hh"
 #include "cache/infinity_cache.hh"
+#include "common/hooks.hh"
 #include "core/calibration.hh"
 #include "vm/address_space.hh"
 
 namespace upm::fabric {
 class Fabric;
-}
-
-namespace upm::trace {
-class Tracer;
 }
 
 namespace upm::hip {
@@ -78,7 +75,7 @@ class PerfModel
 {
   public:
     PerfModel(const core::SystemConfig &config,
-              const mem::MemGeometry &geometry);
+              const mem::MemGeometry &geometry, const Hooks &hooks = {});
 
     /** Summarize the placement of [base, base+size). */
     RegionProfile profileRegion(const vm::AddressSpace &as,
@@ -116,10 +113,6 @@ class PerfModel
     const cache::CacheHierarchy &gpuHierarchy() const { return gpuCaches; }
     const cache::CacheHierarchy &cpuHierarchy() const { return cpuCaches; }
     const cache::InfinityCache &infinityCache() const { return ic; }
-
-    /** Attach UPMTrace: each profileRegion() emits an IcQuery event
-     *  carrying the Infinity Cache hit fraction it computed. */
-    void setTracer(trace::Tracer *tracer) { tr = tracer; }
 
     /**
      * Attach the xGMI model (multi-socket Systems only). With a fabric
@@ -173,7 +166,9 @@ class PerfModel
     std::uint64_t framesPerSocket = 0;
     /** Per-socket IC instances; empty on single-socket Systems. */
     std::vector<const cache::InfinityCache *> socketCaches;
-    /** UPMTrace hook; null (no overhead) unless tracing is on. */
+    /** UPMTrace hook; null (no overhead) unless tracing is on. Each
+     *  profileRegion() emits an IcQuery event carrying the Infinity
+     *  Cache hit fraction it computed. */
     trace::Tracer *tr = nullptr;
 };
 

@@ -28,10 +28,13 @@ Runtime::Runtime(vm::AddressSpace &address_space,
                  alloc::AllocatorRegistry &allocator_registry,
                  vm::FaultHandler &fault_handler,
                  const core::SystemConfig &config,
-                 const mem::MemGeometry &geometry)
+                 const mem::MemGeometry &geometry, const Hooks &hooks)
     : as(address_space), registry(allocator_registry),
-      faults(fault_handler), cfg(config), perfModel(config, geometry),
-      copyEngine(config.bandwidth, config.sdmaEnabled), stream0(0)
+      faults(fault_handler), cfg(config),
+      perfModel(config, geometry, hooks),
+      copyEngine(config.bandwidth, config.sdmaEnabled, hooks), stream0(0),
+      aud(hooks.aud), inj(hooks.inj), tr(hooks.tr), cal(hooks.cal),
+      pol(hooks.pol), polSpace(hooks.polSpace)
 {
     as.setXnack(cfg.xnack);
 }
@@ -88,20 +91,6 @@ Runtime::hipGetLastError()
     hipError_t error = lastErr;
     lastErr = hipSuccess;
     return error;
-}
-
-void
-Runtime::setInjector(inject::Injector *injector)
-{
-    inj = injector;
-    copyEngine.setInjector(injector);
-}
-
-void
-Runtime::setTracer(trace::Tracer *tracer)
-{
-    tr = tracer;
-    perfModel.setTracer(tracer);
 }
 
 hipError_t

@@ -20,32 +20,13 @@
 
 #include "alloc/registry.hh"
 #include "common/clock.hh"
+#include "common/hooks.hh"
 #include "common/status.hh"
 #include "hip/kernel.hh"
 #include "hip/memcpy_engine.hh"
 #include "hip/perf_model.hh"
 #include "hip/stream.hh"
 #include "vm/fault_handler.hh"
-
-namespace upm::audit {
-class Auditor;
-}
-
-namespace upm::inject {
-class Injector;
-}
-
-namespace upm::trace {
-class Tracer;
-}
-
-namespace upm::policy {
-class PolicyEngine;
-}
-
-namespace upm::sched {
-class EventCalendar;
-}
 
 namespace upm::hip {
 
@@ -106,11 +87,15 @@ struct MemInfo
 class Runtime
 {
   public:
+    /** @p hooks wire the runtime, its perf model (tr) and its copy
+     *  engine (inj); the fault handler and frame allocator get their
+     *  own at construction. @p hooks.polSpace must match the wired
+     *  AddressSpace's. */
     Runtime(vm::AddressSpace &address_space,
             alloc::AllocatorRegistry &registry,
             vm::FaultHandler &fault_handler,
             const core::SystemConfig &config,
-            const mem::MemGeometry &geometry);
+            const mem::MemGeometry &geometry, const Hooks &hooks = {});
 
     // ---- Memory management -------------------------------------------
     /**
@@ -262,55 +247,6 @@ class Runtime
     std::uint64_t peakBytesUsed() const { return peakBytes; }
     void resetPeak();
 
-    /**
-     * Attach UPMSan. The runtime feeds the simulated race detector:
-     * every modelled access (kernels, memcpys, cpuFirstTouch /
-     * cpuStream) becomes a page-granular vector-clock access, and
-     * enqueue / synchronize calls become happens-before edges. Raw
-     * hostPtr() accesses are NOT tracked.
-     */
-    void setAuditor(audit::Auditor *auditor) { aud = auditor; }
-
-    /**
-     * Attach UPMInject to the runtime and its copy engine (the fault
-     * handler and frame allocator are wired by core::System). Covers
-     * the SDMA-stall and HBM-degradation sites.
-     */
-    void setInjector(inject::Injector *injector);
-
-    /**
-     * Attach UPMTrace to the runtime and its performance model:
-     * allocator calls (including failures), frees, memcpys with their
-     * classified path and transfer time, kernel launches, and Infinity
-     * Cache profile queries all land on the event bus.
-     */
-    void setTracer(trace::Tracer *tracer);
-
-    /**
-     * Attach the event calendar (sched::EventCalendar). Every timed
-     * runtime operation then posts a completion event on its engine's
-     * queue -- host work on Host, copies on Sdma, fault service on
-     * Fault, kernels on Kernel -- and the synchronize calls drain the
-     * calendar up to the synchronized timestamp. The events are pure
-     * stats markers: attaching a calendar never changes simulated
-     * numbers.
-     */
-    void setCalendar(sched::EventCalendar *calendar) { cal = calendar; }
-
-    /**
-     * Attach UPMPolicy. Kernel launches and CPU streaming then feed
-     * the engine's per-page access counters (the stream hot/cold
-     * migration decides from); null keeps the runtime byte-identical.
-     * @p space_id namespaces this runtime's pages in engine PageKeys
-     * and must match the wired AddressSpace's.
-     */
-    void setPolicyEngine(policy::PolicyEngine *engine,
-                         std::uint64_t space_id = 0)
-    {
-        pol = engine;
-        polSpace = space_id;
-    }
-
   private:
     /** Resolve GPU faults on a kernel buffer; @return time charged.
      *  Throws StatusError on violation / OOM / injected timeout. */
@@ -342,15 +278,32 @@ class Runtime
 
     RuntimeStats runtimeStats;
     std::uint64_t peakBytes = 0;
-    /** UPMSan hook; null (no overhead) unless auditing is enabled. */
+    /** UPMSan hook; null (no overhead) unless auditing is enabled.
+     *  The runtime feeds the simulated race detector: every modelled
+     *  access (kernels, memcpys, cpuFirstTouch / cpuStream) becomes a
+     *  page-granular vector-clock access, and enqueue / synchronize
+     *  calls become happens-before edges. Raw hostPtr() accesses are
+     *  NOT tracked. */
     audit::Auditor *aud = nullptr;
-    /** UPMInject hook; null (no overhead) unless injection is on. */
+    /** UPMInject hook; null (no overhead) unless injection is on.
+     *  Covers the SDMA-stall and HBM-degradation sites. */
     inject::Injector *inj = nullptr;
-    /** UPMTrace hook; null (no overhead) unless tracing is on. */
+    /** UPMTrace hook; null (no overhead) unless tracing is on.
+     *  Allocator calls (including failures), frees, memcpys with their
+     *  classified path and transfer time, and kernel launches land on
+     *  the event bus. */
     trace::Tracer *tr = nullptr;
-    /** Event-calendar hook; null (no overhead) unless attached. */
+    /** Event-calendar hook; null (no overhead) unless attached. Every
+     *  timed runtime operation posts a completion event on its
+     *  engine's queue -- host work on Host, copies on Sdma, fault
+     *  service on Fault, kernels on Kernel -- and the synchronize
+     *  calls drain the calendar up to the synchronized timestamp. The
+     *  events are pure stats markers: a calendar never changes
+     *  simulated numbers. */
     sched::EventCalendar *cal = nullptr;
-    /** UPMPolicy hook; null (no overhead) unless policy is enabled. */
+    /** UPMPolicy hook; null keeps the runtime byte-identical. Kernel
+     *  launches and CPU streaming feed the engine's per-page access
+     *  counters (the stream hot/cold migration decides from). */
     policy::PolicyEngine *pol = nullptr;
     /** PageKey.space for this runtime's access notifications. */
     std::uint64_t polSpace = 0;

@@ -29,13 +29,10 @@
 #include <string>
 #include <vector>
 
+#include "common/hooks.hh"
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "inject/config.hh"
-
-namespace upm::trace {
-class Tracer;
-}
 
 namespace upm::inject {
 
@@ -78,7 +75,8 @@ struct InjectedEvent
 class Injector
 {
   public:
-    explicit Injector(const InjectConfig &config);
+    /** Only @p hooks.tr is used. */
+    explicit Injector(const InjectConfig &config, const Hooks &hooks = {});
 
     const InjectConfig &config() const { return cfg; }
 
@@ -127,10 +125,6 @@ class Injector
     /** One-line summary for a bench's campaign footer. */
     std::string summary() const;
 
-    /** Attach UPMTrace: every injected event (a record() call) also
-     *  lands on the trace bus as an InjectDecision event. */
-    void setTracer(trace::Tracer *tracer) { tr = tracer; }
-
   private:
     /** Draw the @p site stream; true with probability @p prob. */
     bool roll(Site site, double prob);
@@ -144,7 +138,9 @@ class Injector
     std::uint64_t total = 0;
     /** Remaining operations in the active HBM degradation episode. */
     std::uint64_t degradeOpsLeft = 0;
-    /** UPMTrace hook; null (no overhead) unless tracing is on. */
+    /** UPMTrace hook; null (no overhead) unless tracing is on. Every
+     *  injected event (a record() call) also lands on the trace bus as
+     *  an InjectDecision event. */
     trace::Tracer *tr = nullptr;
 };
 

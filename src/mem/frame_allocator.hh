@@ -32,21 +32,10 @@
 #include <optional>
 #include <vector>
 
+#include "common/hooks.hh"
 #include "common/rng.hh"
 #include "mem/geometry.hh"
 #include "mem/interval_set.hh"
-
-namespace upm::audit {
-class Auditor;
-}
-
-namespace upm::inject {
-class Injector;
-}
-
-namespace upm::trace {
-class Tracer;
-}
 
 namespace upm::mem {
 
@@ -91,7 +80,8 @@ class FrameAllocator
   public:
     FrameAllocator(const MemGeometry &geometry,
                    const FrameAllocatorConfig &config = {},
-                   FrameId base_frame = 0, unsigned socket = 0);
+                   FrameId base_frame = 0, unsigned socket = 0,
+                   const Hooks &hooks = {});
 
     /**
      * Allocate @p n_frames as few large contiguous runs (largest-first
@@ -181,30 +171,6 @@ class FrameAllocator
     const MemGeometry &geometry() const { return geom; }
 
     /**
-     * Attach the UPMSan auditor. With an auditor attached,
-     * double-alloc/double-free become recorded violations instead of
-     * panics, so tests can assert on the exact failure class.
-     */
-    void setAuditor(audit::Auditor *auditor) { aud = auditor; }
-
-    /**
-     * Attach UPMInject. Every public allocation entry point consults
-     * the injector's frame-alloc site first, so a campaign can force
-     * clean OOM failures deep inside any allocator or fault path.
-     */
-    void setInjector(inject::Injector *injector) { inj = injector; }
-
-    /**
-     * Attach UPMTrace. Emits FrameAlloc for every contiguous run
-     * handed to a caller, FrameFree for every successful caller free,
-     * BuddySplit on block splits and PoolRefill when the on-demand /
-     * per-stack pools pull a block. Rolled-back partial allocations
-     * emit nothing, so the event stream replays to exactly the set of
-     * caller-held frames.
-     */
-    void setTracer(trace::Tracer *tracer) { tr = tracer; }
-
-    /**
      * Frames currently held by callers: busy and not parked in the
      * on-demand / per-stack pools. Indexed by *shard-local* frame id
      * (global id minus baseFrame()). This is the state the
@@ -267,11 +233,23 @@ class FrameAllocator
     std::vector<std::deque<FrameId>> stackPools;
     unsigned nextStack = 0;
     SplitMix64 rng;
-    /** UPMSan hook; null (no overhead) unless auditing is enabled. */
+    /** UPMSan hook; null (no overhead) unless auditing is enabled.
+     *  With an auditor attached, double-alloc/double-free become
+     *  recorded violations instead of panics, so tests can assert on
+     *  the exact failure class. */
     audit::Auditor *aud = nullptr;
-    /** UPMInject hook; null (no overhead) unless injection is on. */
+    /** UPMInject hook; null (no overhead) unless injection is on.
+     *  Every public allocation entry point consults the injector's
+     *  frame-alloc site first, so a campaign can force clean OOM
+     *  failures deep inside any allocator or fault path. */
     inject::Injector *inj = nullptr;
-    /** UPMTrace hook; null (no overhead) unless tracing is on. */
+    /** UPMTrace hook; null (no overhead) unless tracing is on. Emits
+     *  FrameAlloc for every contiguous run handed to a caller,
+     *  FrameFree for every successful caller free, BuddySplit on
+     *  block splits and PoolRefill when the on-demand / per-stack
+     *  pools pull a block. Rolled-back partial allocations emit
+     *  nothing, so the event stream replays to exactly the set of
+     *  caller-held frames. */
     trace::Tracer *tr = nullptr;
 };
 

@@ -39,10 +39,12 @@ class NodeMemory
      * contributes one geometry-sized HBM window, so total capacity is
      * num_sockets x geometry.capacityBytes(). Shard 0 uses exactly
      * @p config (seed included); shard s > 0 derives its refill seed
-     * as config.seed + s so sockets fragment independently.
+     * as config.seed + s so sockets fragment independently. Every
+     * shard gets the same @p hooks (auditor, injector, tracer).
      */
     NodeMemory(const MemGeometry &geometry,
-               const FrameAllocatorConfig &config, unsigned num_sockets);
+               const FrameAllocatorConfig &config, unsigned num_sockets,
+               const Hooks &hooks = {});
 
     unsigned numSockets() const { return static_cast<unsigned>(shards.size()); }
 
@@ -96,11 +98,6 @@ class NodeMemory
     /** Buddy free-list interval nodes summed across shards (the
      *  fragmentation gauge long-soak tests bound). */
     std::uint64_t freeListNodes() const;
-
-    // Hook fan-out: every shard gets the same auditor/injector/tracer.
-    void setAuditor(audit::Auditor *auditor);
-    void setInjector(inject::Injector *injector);
-    void setTracer(trace::Tracer *tracer);
 
     /**
      * Teardown leak scan, per shard: every busy frame must be mapped

@@ -4,7 +4,8 @@
 
 namespace upm::policy {
 
-PolicyEngine::PolicyEngine(const PolicyConfig &config) : cfg(config)
+PolicyEngine::PolicyEngine(const PolicyConfig &config, const Hooks &hooks)
+    : cfg(config), tr(hooks.tr)
 {
     mig = makeMigration(cfg.migration, cfg.migrationTuning);
 }

@@ -32,13 +32,10 @@
 #include <memory>
 #include <vector>
 
+#include "common/hooks.hh"
 #include "policy/eviction.hh"
 #include "policy/migration.hh"
 #include "policy/policy.hh"
-
-namespace upm::trace {
-class Tracer;
-}
 
 namespace upm::policy {
 
@@ -55,7 +52,10 @@ struct PolicyStats
 class PolicyEngine
 {
   public:
-    explicit PolicyEngine(const PolicyConfig &config);
+    /** Only @p hooks.tr is used: the bus the PolicyMigrate /
+     *  PolicyEvict events go to. */
+    explicit PolicyEngine(const PolicyConfig &config,
+                          const Hooks &hooks = {});
     ~PolicyEngine();
 
     PolicyEngine(const PolicyEngine &) = delete;
@@ -63,9 +63,6 @@ class PolicyEngine
 
     const PolicyConfig &config() const { return cfg; }
     const PolicyStats &stats() const { return counters; }
-
-    /** Wire the trace bus (null to disconnect). */
-    void setTracer(trace::Tracer *t) { tr = t; }
 
     // ------------------------------------------------------- eviction
 

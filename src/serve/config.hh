@@ -16,7 +16,6 @@
 #include <cstdint>
 
 #include "common/units.hh"
-#include "policy/policy.hh"
 
 namespace upm::serve {
 
@@ -87,16 +86,6 @@ struct ServeConfig
     double tier3Pressure = 0.88;
     /** Pressure below which the tier state re-arms to 0. */
     double rearmPressure = 0.60;
-
-    // ---- UPMPolicy -----------------------------------------------------
-    /**
-     * Migration / eviction policy for the node. With
-     * `policy.enabled` false (the default) no engine exists and the
-     * serving path is byte-identical to the pre-policy node. When the
-     * owning System already carries an engine (SystemConfig::policy),
-     * that engine wins and this field is ignored.
-     */
-    policy::PolicyConfig policy;
 };
 
 } // namespace upm::serve

@@ -79,20 +79,6 @@ ServeNode::ServeNode(core::System &system, const ServeConfig &config)
         panic("ServeNode: degraded arena must be in (0, arenaBytes]");
     if (cfg.processLifetime == 0)
         panic("ServeNode: processLifetime must be positive");
-    // Policy wiring: a System-owned engine (SystemConfig::policy)
-    // wins; otherwise the serve config can bring its own, which this
-    // node owns and wires into the primary space as space 0. Spawned
-    // processes are wired per-pid in spawnProcess().
-    pol = sys.policyEngine();
-    if (pol == nullptr && cfg.policy.enabled) {
-        ownedPol = std::make_unique<policy::PolicyEngine>(cfg.policy);
-        if (tr)
-            ownedPol->setTracer(tr);
-        pol = ownedPol.get();
-        sys.addressSpace().setPolicyEngine(pol, 0);
-        sys.allocators().setPolicyEngine(pol);
-        sys.runtime().setPolicyEngine(pol, 0);
-    }
 }
 
 ServeNode::~ServeNode() = default;
@@ -431,14 +417,6 @@ ServeNode::spawnProcess(unsigned tenant_index)
 {
     Tenant &tenant = tenants[tenant_index];
     tenant.proc = sys.createProcess();
-    if (pol != nullptr && sys.policyEngine() == nullptr) {
-        // Node-owned engine: Process wiring only covers the
-        // System-owned case, so wire the fresh process here.
-        tenant.proc->addressSpace().setPolicyEngine(
-            pol, tenant.proc->pid());
-        tenant.proc->runtime().setPolicyEngine(pol,
-                                               tenant.proc->pid());
-    }
     tenant.arena = 0;
     tenant.arenaBytes = 0;
     tenant.served = 0;

@@ -135,10 +135,13 @@ class ServeNode
      *  Observers observe -- outcomes are byte-identical either way. */
     void setObserver(ServeObserver *observer) { obs = observer; }
 
-    /** The policy engine serving this node: the System's own when
-     *  SystemConfig::policy is enabled, else the node-owned engine
-     *  from ServeConfig::policy, else null. */
-    policy::PolicyEngine *policyEngine() const { return pol; }
+    /** The policy engine serving this node: the System's own
+     *  (SystemConfig::policy), which every spawned process is built
+     *  with; null when policy is off. */
+    policy::PolicyEngine *policyEngine() const
+    {
+        return sys.policyEngine();
+    }
 
   private:
     /** One tenant: a persistent identity served by churning processes. */
@@ -221,11 +224,6 @@ class ServeNode
     trace::Tracer *tr = nullptr;
     /** ServeObserver hook; null (no overhead) unless attached. */
     ServeObserver *obs = nullptr;
-    /** UPMPolicy hook; see policyEngine(). */
-    policy::PolicyEngine *pol = nullptr;
-    /** Engine owned by this node when the ServeConfig (not the
-     *  System) enables policy. */
-    std::unique_ptr<policy::PolicyEngine> ownedPol;
 };
 
 } // namespace upm::serve

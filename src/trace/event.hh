@@ -69,7 +69,10 @@ enum class EventKind : std::uint8_t {
     BuddySplit,    //!< a=block base frame, b=resulting order
     PoolRefill,    //!< a=base frame, b=count, c=0 on-demand / 1 stack
 
-    // cache: SetAssocCache / InfinityCache
+    // cache: the Infinity Cache model. CacheHit/Fill/Evict are no
+    // longer emitted (no simulated layer drives a functional cache);
+    // they keep their slots so packed "UPMT" v2 kind ordinals and old
+    // dumps stay readable.
     CacheHit,      //!< a=line address
     CacheFill,     //!< a=line address (miss that allocated)
     CacheEvict,    //!< a=victim line address, b=new line address

@@ -52,9 +52,12 @@ socketPolicyName(SocketPolicy policy)
 }
 
 AddressSpace::AddressSpace(mem::NodeMemory &node_memory,
-                           mem::BackingStore &backing_store)
+                           mem::BackingStore &backing_store,
+                           const Hooks &hooks)
     : node(node_memory), backingStore(backing_store),
-      hmm(sysTable, gpuPt), nextBase(kMmapBase), vaEnd(kVaEnd)
+      hmm(sysTable, gpuPt, hooks), nextBase(kMmapBase), vaEnd(kVaEnd),
+      aud(hooks.aud), tr(hooks.tr), pol(hooks.pol),
+      polSpace(hooks.polSpace)
 {
 }
 
@@ -700,28 +703,6 @@ AddressSpace::setDefaultSocketPolicy(SocketPolicy policy, unsigned home)
     defSocketPolicy =
         policy == SocketPolicy::Default ? SocketPolicy::Home : policy;
     defHomeSocket = home;
-}
-
-void
-AddressSpace::setAuditor(audit::Auditor *auditor)
-{
-    aud = auditor;
-    hmm.setAuditor(auditor);
-}
-
-void
-AddressSpace::setTracer(trace::Tracer *tracer)
-{
-    tr = tracer;
-    hmm.setTracer(tracer);
-}
-
-void
-AddressSpace::setPolicyEngine(policy::PolicyEngine *engine,
-                              std::uint64_t space_id)
-{
-    pol = engine;
-    polSpace = space_id;
 }
 
 std::uint64_t

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hooks.hh"
 #include "common/rng.hh"
 #include "common/status.hh"
 #include "mem/backing_store.hh"
@@ -28,20 +29,8 @@
 #include "vm/hmm.hh"
 #include "vm/page_table.hh"
 
-namespace upm::audit {
-class Auditor;
-}
-
 namespace upm::mem {
 class NodeMemory;
-}
-
-namespace upm::trace {
-class Tracer;
-}
-
-namespace upm::policy {
-class PolicyEngine;
 }
 
 namespace upm::vm {
@@ -161,8 +150,10 @@ struct [[nodiscard]] PopulateResult
 class AddressSpace
 {
   public:
+    /** @p hooks wire this space and its HMM mirror (aud, tr) and
+     *  the policy engine (pol, polSpace). */
     AddressSpace(mem::NodeMemory &node_memory,
-                 mem::BackingStore &backing_store);
+                 mem::BackingStore &backing_store, const Hooks &hooks = {});
 
     /**
      * Create a VMA of @p size bytes (rounded up to pages) and attach
@@ -322,28 +313,8 @@ class AddressSpace
     std::uint64_t gpuMajorFaults() const { return gpuMajorCount; }
     std::uint64_t gpuMinorFaults() const { return gpuMinorCount; }
 
-    /** Attach UPMSan to this address space and its HMM mirror. */
-    void setAuditor(audit::Auditor *auditor);
-
-    /**
-     * Attach UPMPolicy. Null (the default) keeps every legacy path --
-     * byte-identical behaviour. Fault resolutions feed the engine's
-     * access counters. @p space_id namespaces this address space's
-     * pages in engine PageKeys (0 for the primary space, the pid for
-     * process spaces).
-     */
-    void setPolicyEngine(policy::PolicyEngine *engine,
-                         std::uint64_t space_id = 0);
+    /** The wired policy engine, or null. */
     policy::PolicyEngine *policyEngine() const { return pol; }
-
-    /**
-     * Attach UPMTrace to this address space and its HMM mirror.
-     * Emits VmaMap/VmaUnmap, Populate, CpuFault/GpuFault batches and
-     * one ExtentMap event per contiguous (vpn, frame) run inserted
-     * into the system table -- the stream the trace-replay tests
-     * rebuild the final page table from.
-     */
-    void setTracer(trace::Tracer *tracer);
 
     /**
      * Full mirror cross-check: every GPU PTE must have a matching
@@ -401,12 +372,18 @@ class AddressSpace
     std::uint64_t gpuMinorCount = 0;
     /** UPMSan hook; null (no overhead) unless auditing is enabled. */
     audit::Auditor *aud = nullptr;
-    /** UPMTrace hook; null (no overhead) unless tracing is on. */
+    /** UPMTrace hook; null (no overhead) unless tracing is on. Emits
+     *  VmaMap/VmaUnmap, Populate, CpuFault/GpuFault batches and one
+     *  ExtentMap event per contiguous (vpn, frame) run inserted into
+     *  the system table -- the stream the trace-replay tests rebuild
+     *  the final page table from. */
     trace::Tracer *tr = nullptr;
-    /** UPMPolicy hook; null (no overhead) unless a policy engine is
-     *  wired. */
+    /** UPMPolicy hook; null (the default) keeps every legacy path --
+     *  byte-identical behaviour. Fault resolutions feed the engine's
+     *  access counters. */
     policy::PolicyEngine *pol = nullptr;
-    /** PageKey.space value for this address space's pages. */
+    /** PageKey.space value for this address space's pages in `pol`
+     *  (0 for the primary space, the pid for process spaces). */
     std::uint64_t polSpace = 0;
 };
 

@@ -9,8 +9,9 @@
 
 namespace upm::vm {
 
-FaultHandler::FaultHandler(const FaultCosts &costs, std::uint64_t seed)
-    : cost(costs), rng(seed)
+FaultHandler::FaultHandler(const FaultCosts &costs, std::uint64_t seed,
+                           const Hooks &hooks)
+    : cost(costs), rng(seed), inj(hooks.inj), tr(hooks.tr)
 {
 }
 

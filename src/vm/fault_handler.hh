@@ -19,20 +19,13 @@
 
 #include <cstdint>
 
+#include "common/hooks.hh"
 #include "common/rng.hh"
 #include "common/status.hh"
 #include "common/units.hh"
 
 namespace upm::fabric {
 class Fabric;
-}
-
-namespace upm::inject {
-class Injector;
-}
-
-namespace upm::trace {
-class Tracer;
 }
 
 namespace upm::vm {
@@ -113,8 +106,12 @@ struct FaultService
 class FaultHandler
 {
   public:
+    /** Jitter seed of a handler built without an explicit one. */
+    static constexpr std::uint64_t kDefaultSeed = 0xfa17u;
+
     explicit FaultHandler(const FaultCosts &costs = {},
-                          std::uint64_t seed = 0xfa17u);
+                          std::uint64_t seed = kDefaultSeed,
+                          const Hooks &hooks = {});
 
     /**
      * Sample a cold, isolated single-fault latency (lognormal).
@@ -154,9 +151,6 @@ class FaultHandler
     FaultService service(FaultType type, std::uint64_t pages,
                          unsigned cpu_cores = 1, unsigned hops = 0);
 
-    /** Attach UPMInject; null (the default) means no perturbation. */
-    void setInjector(inject::Injector *injector) { inj = injector; }
-
     /** Attach the xGMI link model; null (the default) keeps every
      *  fault local and the timing byte-identical to the 1-socket
      *  model. */
@@ -164,10 +158,6 @@ class FaultHandler
     {
         fab = fabric_model;
     }
-
-    /** Attach UPMTrace: emits ColdFault per sampled latency and
-     *  FaultService per service() call (retry/replay chain included). */
-    void setTracer(trace::Tracer *tracer) { tr = tracer; }
 
     /** Convenience: pages/s throughput for a scenario. */
     double throughput(FaultType type, std::uint64_t pages,
@@ -187,9 +177,12 @@ class FaultHandler
     ServiceTally serviceTally;
     /** xGMI model; null on a single-socket System (no remote cost). */
     const fabric::Fabric *fab = nullptr;
-    /** UPMInject hook; null (no overhead) unless injection is on. */
+    /** UPMInject hook; null (no overhead, no perturbation) unless
+     *  injection is on. */
     inject::Injector *inj = nullptr;
-    /** UPMTrace hook; null (no overhead) unless tracing is on. */
+    /** UPMTrace hook; null (no overhead) unless tracing is on. Emits
+     *  ColdFault per sampled latency and FaultService per service()
+     *  call (retry/replay chain included). */
     trace::Tracer *tr = nullptr;
 };
 

@@ -213,8 +213,7 @@ TEST(AuditSeeded, DirectoryTransfersStayClean)
     // The real directory invalidates on every transfer, so ping-pong
     // ownership must not trip the dirty-in-two shadow.
     audit::Auditor aud(quietAudit());
-    cache::Directory dir;
-    dir.setAuditor(&aud);
+    cache::Directory dir({}, {.aud = &aud});
     dir.cpuAtomic(9, 0);
     dir.gpuAtomic(9);
     dir.cpuAtomic(9, 3);

@@ -64,9 +64,10 @@ class FreeRangeHoleTest : public ::testing::Test
 
     /** Allocator with the busy range and holes in place. */
     std::unique_ptr<mem::FrameAllocator>
-    makeHoled()
+    makeHoled(const Hooks &hooks = {})
     {
-        auto alloc = std::make_unique<mem::FrameAllocator>(geom);
+        auto alloc = std::make_unique<mem::FrameAllocator>(
+            geom, mem::FrameAllocatorConfig{}, 0, 0, hooks);
         auto runs = alloc->allocRun(kFrames);
         EXPECT_TRUE(runs.has_value());
         EXPECT_EQ(runs->size(), 1u);
@@ -94,8 +95,7 @@ TEST_F(FreeRangeHoleTest, AuditedAndUnauditedMatchPerPageOracle)
     EXPECT_FALSE(plain->freeRange({base, kFrames}));
 
     audit::Auditor aud(quietAudit());
-    auto audited = makeHoled();
-    audited->setAuditor(&aud);
+    auto audited = makeHoled({.aud = &aud});
     EXPECT_FALSE(audited->freeRange({base, kFrames}));
 
     // One FrameDoubleFree per hole frame, in frame order.
@@ -118,10 +118,9 @@ TEST_F(FreeRangeHoleTest, AuditedAndUnauditedMatchPerPageOracle)
 struct Space
 {
     explicit Space(const mem::MemGeometry &geom, audit::Auditor *aud)
-        : node(geom, {}, 1), frames(node.shard(0)), as(node, store)
+        : node(geom, {}, 1, {.aud = aud}), frames(node.shard(0)),
+          as(node, store, {.aud = aud})
     {
-        node.setAuditor(aud);
-        as.setAuditor(aud);
     }
 
     mem::NodeMemory node;

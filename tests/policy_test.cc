@@ -280,8 +280,7 @@ TEST(Engine, EmitsPolicyEvictOnUvmOvercommit)
 
     PolicyConfig cfg;
     cfg.enabled = true;
-    PolicyEngine engine(cfg);
-    engine.setTracer(&tracer);
+    PolicyEngine engine(cfg, {.tr = &tracer});
 
     uvm::UvmSimulator sim(4 * mem::kPageSize);
     sim.setPolicyEngine(&engine);
@@ -312,8 +311,7 @@ TEST(Engine, MigrationProposalsNotTracedUntilApplied)
     PolicyConfig cfg;
     cfg.enabled = true;
     cfg.migration = MigrationKind::HotCold;
-    PolicyEngine engine(cfg);
-    engine.setTracer(&tracer);
+    PolicyEngine engine(cfg, {.tr = &tracer});
 
     engine.noteResident({1, 0}, Tier::Slow);
     for (int i = 0; i < 5; ++i) {
@@ -389,8 +387,7 @@ TEST(Replay, RingDumpRoundTripsPolicyEvents)
 
     PolicyConfig cfg;
     cfg.enabled = true;
-    PolicyEngine engine(cfg);
-    engine.setTracer(&tracer);
+    PolicyEngine engine(cfg, {.tr = &tracer});
 
     uvm::UvmSimulator sim(4 * mem::kPageSize);
     sim.setPolicyEngine(&engine);
@@ -442,33 +439,21 @@ TEST(System, EngineObservesRuntimeAccessStream)
     rt.freeChecked(p);
 }
 
-TEST(Serve, NodeOwnsEngineWhenServeConfigEnables)
+TEST(Serve, SystemOwnedEngineServesTheNode)
 {
-    core::SystemConfig scfg;
-    scfg.geometry.capacityBytes = 256 * MiB;
-    core::System sys(scfg);
-    serve::ServeConfig cfg;
-    cfg.numRequests = 16;
-    cfg.policy.enabled = true;
-    serve::ServeNode node(sys, cfg);
-    ASSERT_NE(node.policyEngine(), nullptr);
-    EXPECT_EQ(sys.policyEngine(), nullptr);  // node-owned, not System
-    EXPECT_EQ(sys.addressSpace().policyEngine(), node.policyEngine());
-    node.run();
-    EXPECT_GT(node.policyEngine()->stats().accesses, 0u);
-}
-
-TEST(Serve, SystemOwnedEngineWinsOverServeConfig)
-{
+    // SystemConfig::policy is the one way to give a node an engine:
+    // the primary space and every spawned process are built with it.
     core::SystemConfig scfg;
     scfg.geometry.capacityBytes = 256 * MiB;
     scfg.policy.enabled = true;
     core::System sys(scfg);
     serve::ServeConfig cfg;
     cfg.numRequests = 16;
-    cfg.policy.enabled = true;  // ignored: the System already owns one
     serve::ServeNode node(sys, cfg);
+    ASSERT_NE(node.policyEngine(), nullptr);
     EXPECT_EQ(node.policyEngine(), sys.policyEngine());
+    node.run();
+    EXPECT_GT(node.policyEngine()->stats().accesses, 0u);
 }
 
 } // namespace

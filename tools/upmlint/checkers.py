@@ -18,8 +18,10 @@ Contracts enforced (see DESIGN.md section 12):
   containers by pointer (iteration order would depend on allocation
   addresses).
 * hook-discipline -- every dereference of a zero-overhead-off hook
-  pointer (`aud`, `tr`, `inj`) must be dominated by a null check, so
-  an unwired hook costs one branch and no call.
+  pointer (`aud`, `tr`, `inj`, `cal`, `obs`, `pol`) must be dominated
+  by a null check, so an unwired hook costs one branch and no call.
+  A dereference through a bundle (`hooks.aud->`) must be dominated by
+  a test of that same expression (`if (hooks.aud)`).
 * lock-discipline -- mutex-holding classes use the annotated
   `upm::Mutex`/`upm::MutexLock` types from common/mutex.hh; fields
   annotated `UPM_GUARDED_BY(m)` are only touched in functions that
@@ -262,39 +264,59 @@ def check_hooks(src, project):
             continue
         if i + 1 >= len(toks) or toks[i + 1].text != "->":
             continue
-        if i > 0 and toks[i - 1].text in (".", "->", "::"):
+        expr = [t.text]
+        start = i
+        if i > 1 and toks[i - 1].text == "." and toks[i - 2].kind == IDENT:
+            # Through a bundle: `hooks.aud->` must be guarded by a test
+            # of `hooks.aud` itself.
+            expr = [toks[i - 2].text, ".", t.text]
+            start = i - 2
+        if start > 0 and toks[start - 1].text in (".", "->", "::"):
             continue  # member of some other object
-        if _hook_guarded(toks, i, t.text):
+        if _hook_guarded(toks, start, expr):
             continue
         if src.suppressed("hooks", t.line):
             continue
+        name = "".join(expr)
         yield Finding(src.path, t.line, "hooks",
                       "dereference of hook pointer '%s' is not dominated "
                       "by a null check; wrap it in `if (%s)` to keep the "
-                      "zero-overhead-when-off contract" % (t.text, t.text))
+                      "zero-overhead-when-off contract" % (name, name))
 
 
-def _cond_guards(cond, hook):
-    """Does a condition token list positively test `hook`?"""
-    for k, c in enumerate(cond):
-        if c.kind != IDENT or c.text != hook:
+def _is_expr(toks, k, expr):
+    """Do toks[k:] spell the hook expression `expr` (a token-text list:
+    `aud`, or `hooks . aud`), not as a member of some other object?"""
+    if k + len(expr) > len(toks) or toks[k].kind != IDENT:
+        return False
+    if any(toks[k + n].text != e for n, e in enumerate(expr)):
+        return False
+    return k == 0 or toks[k - 1].text not in (".", "->", "::")
+
+
+def _cond_guards(cond, expr):
+    """Does a condition token list positively test `expr`?"""
+    for k in range(len(cond)):
+        if not _is_expr(cond, k, expr):
             continue
-        if k > 0 and cond[k - 1].text in ("!", ".", "->", "::"):
+        if k > 0 and cond[k - 1].text == "!":
             continue
-        if k + 1 < len(cond) and cond[k + 1].text == "==" and \
-                k + 2 < len(cond) and cond[k + 2].text in ("nullptr", "NULL",
-                                                           "0"):
+        after = k + len(expr)
+        if after < len(cond) and cond[after].text == "==" and \
+                after + 1 < len(cond) and \
+                cond[after + 1].text in ("nullptr", "NULL", "0"):
             continue
-        if k + 1 < len(cond) and cond[k + 1].text in (".", "->"):
+        if after < len(cond) and cond[after].text in (".", "->"):
             continue  # hook->x inside the condition is not a test
         return True
     return False
 
 
-def _hook_guarded(toks, idx, hook):
+def _hook_guarded(toks, idx, expr):
     # Same-statement guard: `tr && tr->...`, `tr ? tr->... : ...`, and
     # the single-statement `if (tr) tr->...;` form.
     s = statement_start(toks, idx)
+    n = len(expr)
     j = s
     while j < idx:
         t = toks[j]
@@ -302,20 +324,20 @@ def _hook_guarded(toks, idx, hook):
                 toks[j + 1].text == "(":
             close = match_paren(toks, j + 1)
             if 0 < close < idx and _cond_guards(toks[j + 1 : close + 1],
-                                                hook):
+                                                expr):
                 return True
             # When idx sits inside this condition, keep scanning the
             # condition tokens themselves (covers `inj && inj->...`).
             j = close + 1 if 0 < close < idx else j + 1
             continue
-        if t.kind == IDENT and t.text == hook and j + 1 < idx and \
-                toks[j + 1].text in ("&&", "?") and \
-                (j == 0 or toks[j - 1].text not in ("!", ".", "->", "::")):
+        if _is_expr(toks, j, expr) and j + n < idx and \
+                toks[j + n].text in ("&&", "?") and \
+                (j == 0 or toks[j - 1].text != "!"):
             return True
-        if t.kind == IDENT and t.text == hook and j + 2 < idx and \
-                toks[j + 1].text == "!=" and \
-                toks[j + 2].text in ("nullptr", "NULL") and \
-                j + 3 < idx and toks[j + 3].text == "&&":
+        if _is_expr(toks, j, expr) and j + n + 1 < idx and \
+                toks[j + n].text == "!=" and \
+                toks[j + n + 1].text in ("nullptr", "NULL") and \
+                j + n + 2 < idx and toks[j + n + 2].text == "&&":
             return True
         j += 1
 
@@ -325,24 +347,31 @@ def _hook_guarded(toks, idx, hook):
         cond = blk.control
         if cond and cond[0].kind == IDENT and cond[0].text in ("if",
                                                               "while") and \
-                _cond_guards(cond[1:], hook):
+                _cond_guards(cond[1:], expr):
             return True
 
     # Early-return guard earlier in an enclosing block:
     # `if (!hook) return;`, `if (hook == nullptr) { ...; return x; }`,
     # and the disjunctive form `if (other || !hook) return;` (any true
-    # disjunct returns, so past the `if` the hook is non-null).
+    # disjunct returns, so past the `if` the hook is non-null). Closed
+    # nested blocks are skipped: a guard inside an earlier function or
+    # branch does not dominate this dereference.
     for blk in blocks:
         j = blk.open_idx
         while j < idx:
             t = toks[j]
+            if t.text == "{" and j != blk.open_idx:
+                close = match_paren(toks, j)
+                if 0 < close < idx:
+                    j = close + 1
+                    continue
             if t.kind == IDENT and t.text == "if" and j + 1 < idx and \
                     toks[j + 1].text == "(":
                 close = match_paren(toks, j + 1)
                 if close < 0 or close >= idx:
                     break
                 cond = toks[j + 2 : close]
-                if _cond_rejects(cond, hook) and \
+                if _cond_rejects(cond, expr) and \
                         _guard_diverts(toks, close + 1, idx):
                     return True
                 j = close + 1
@@ -351,8 +380,8 @@ def _hook_guarded(toks, idx, hook):
     return False
 
 
-def _cond_rejects(cond, hook):
-    """Condition is false whenever `hook` is non-null: a negative test
+def _cond_rejects(cond, expr):
+    """Condition is false whenever `expr` is non-null: a negative test
     of the hook combined only by `||` at the top level."""
     negative_at = -1
     depth = 0
@@ -363,12 +392,13 @@ def _cond_rejects(cond, hook):
             depth -= 1
         elif depth == 0 and c.text == "&&":
             return False  # a conjunction may pass with hook == nullptr
-        if c.kind != IDENT or c.text != hook or depth != 0:
+        if depth != 0 or not _is_expr(cond, k, expr):
             continue
+        after = k + len(expr)
         if k > 0 and cond[k - 1].text == "!":
             negative_at = k
-        elif k + 2 < len(cond) and cond[k + 1].text == "==" and \
-                cond[k + 2].text in ("nullptr", "NULL"):
+        elif after + 1 < len(cond) and cond[after].text == "==" and \
+                cond[after + 1].text in ("nullptr", "NULL"):
             negative_at = k
         elif k > 1 and cond[k - 1].text == "==" and \
                 cond[k - 2].text in ("nullptr", "NULL"):

@@ -1,8 +1,10 @@
 // UPMLint fixture: seeded hook-discipline violations.
 //
 // `aud`, `tr` and `inj` are the simulator's zero-overhead-when-off
-// hook pointers: every dereference must be dominated by a null check.
-// Tagged lines fire; the guarded forms below them must not.
+// hook pointers: every dereference must be dominated by a null check,
+// also when it goes through a bundle (`hooks.aud->` needs a test of
+// `hooks.aud`). Tagged lines fire; the guarded forms below them must
+// not.
 
 namespace upm::fixture {
 
@@ -21,6 +23,13 @@ struct FakeTracer
 struct FakeInjector
 {
     bool shouldFail(int site);
+};
+
+struct FakeHooks
+{
+    FakeAuditor *aud = nullptr;
+    FakeTracer *tr = nullptr;
+    FakeInjector *inj = nullptr;
 };
 
 class Hooked
@@ -82,6 +91,16 @@ class Hooked
     }
 
     void
+    nestedGuardDoesNotDominate(bool quiet)
+    {
+        if (quiet) {
+            if (!tr)
+                return;
+        }
+        tr->emit(10);                    // upmlint-expect: hooks
+    }
+
+    void
     guardedLoops()
     {
         if (tr) {
@@ -89,6 +108,29 @@ class Hooked
                 tr->emit(i);
         }
     }
+
+    void
+    throughBundle(const FakeHooks &hooks)
+    {
+        hooks.aud->noteFree(1);          // upmlint-expect: hooks
+        if (aud)
+            hooks.aud->noteFree(2);      // upmlint-expect: hooks
+        if (hooks.tr)
+            tr->emit(3);                 // upmlint-expect: hooks
+        if (!hooks.inj)
+            hooks.inj->shouldFail(4);    // upmlint-expect: hooks
+        if (hooks.tr)
+            hooks.tr->emit(5);           // guarded: no finding
+        if (hooks.inj && hooks.inj->shouldFail(6))
+            return;
+        if (hooks.tr != nullptr && quietBundle(hooks))
+            hooks.tr->emit(7);
+        if (!hooks.aud)
+            return;
+        hooks.aud->noteAlloc(8, 9);      // early-return guard above
+    }
+
+    static bool quietBundle(const FakeHooks &hooks);
 
   private:
     FakeAuditor *aud = nullptr;
