@@ -439,10 +439,11 @@ TEST(System, EngineObservesRuntimeAccessStream)
     rt.freeChecked(p);
 }
 
-TEST(Serve, SystemOwnedEngineServesTheNode)
+TEST(Serve, SystemOwnedEngineWinsOverServeConfig)
 {
     // SystemConfig::policy is the one way to give a node an engine:
-    // the primary space and every spawned process are built with it.
+    // ServeConfig carries no policy, and the primary space and every
+    // spawned process are built with the System's engine.
     core::SystemConfig scfg;
     scfg.geometry.capacityBytes = 256 * MiB;
     scfg.policy.enabled = true;
