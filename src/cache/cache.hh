@@ -4,10 +4,9 @@
  *
  * No simulated layer instantiates it: the timing model uses the
  * analytic hit fractions of `hierarchy.hh`. The test suite uses it as
- * a functional check of the min(1, C/S) uniform-access assumption
- * behind those fractions (tests/cache_test.cc, AnalyticVsFunctional,
- * which evaluates the formula inline rather than through
- * `hierarchy.hh`).
+ * a functional check of those fractions under uniform random access
+ * (tests/cache_test.cc, AnalyticVsFunctional, which compares it with
+ * `CacheHierarchy::levelFractions` of a one-level hierarchy).
  */
 
 #ifndef UPM_CACHE_CACHE_HH

@@ -61,12 +61,13 @@ ServeStats::checkAccounting() const
               static_cast<unsigned long long>(completed));
 }
 
-ServeNode::ServeNode(core::System &system, const ServeConfig &config)
+ServeNode::ServeNode(core::System &system, const ServeConfig &config,
+                     ServeObserver *observer)
     : sys(system), cfg(config), tenants(config.numTenants),
       arrivalRng(streamFor(config.seed, 0x6172'7269'7665ull)),
       mixRng(streamFor(config.seed, 0x6d69'78ull)),
       sizeRng(streamFor(config.seed, 0x7369'7a65ull)),
-      inj(system.injector()), tr(system.tracer())
+      inj(system.injector()), tr(system.tracer()), obs(observer)
 {
     if (cfg.numTenants == 0)
         panic("ServeNode: numTenants must be positive");

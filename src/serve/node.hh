@@ -110,7 +110,11 @@ struct ServeStats
 class ServeNode
 {
   public:
-    ServeNode(core::System &system, const ServeConfig &config);
+    /** @param observer optional ServeObserver; null means no
+     *  callbacks. Observers observe -- outcomes are byte-identical
+     *  either way. */
+    ServeNode(core::System &system, const ServeConfig &config,
+              ServeObserver *observer = nullptr);
     ~ServeNode();
 
     ServeNode(const ServeNode &) = delete;
@@ -130,10 +134,6 @@ class ServeNode
 
     /** Degradation tier currently armed (0 = none, 1..3). */
     unsigned degradeTier() const { return tier; }
-
-    /** Attach a ServeObserver; null (the default) means no callbacks.
-     *  Observers observe -- outcomes are byte-identical either way. */
-    void setObserver(ServeObserver *observer) { obs = observer; }
 
     /** The policy engine serving this node: the System's own
      *  (SystemConfig::policy), which every spawned process is built
@@ -222,7 +222,8 @@ class ServeNode
     inject::Injector *inj = nullptr;
     /** UPMTrace hook; null (no overhead) unless the System traces. */
     trace::Tracer *tr = nullptr;
-    /** ServeObserver hook; null (no overhead) unless attached. */
+    /** ServeObserver hook; null (no overhead) unless given at
+     *  construction. */
     ServeObserver *obs = nullptr;
 };
 

@@ -3,11 +3,12 @@
  * ServeObserver: the serving node's structured callback hook.
  *
  * Follows the aud/tr/inj/cal hook contract: the node holds a
- * `ServeObserver *obs` that is null unless a test or driver attaches
- * one, and every notification site is guarded by a null check -- with
- * no observer the node does not execute a single extra branch beyond
- * that check, and serving outcomes are byte-identical either way
- * (observers observe; they must not mutate the node).
+ * `ServeObserver *obs` that is null unless a test or driver passes
+ * one to its constructor, and every notification site is guarded by
+ * a null check -- with no observer the node does not execute a
+ * single extra branch beyond that check, and serving outcomes are
+ * byte-identical either way (observers observe; they must not mutate
+ * the node).
  */
 
 #ifndef UPM_SERVE_OBSERVER_HH

@@ -11,21 +11,23 @@
  * TLB reach -- the mechanism behind hipMalloc's bandwidth advantage
  * (paper Sections 4.2/5.3).
  *
- * Storage is extent-coalesced like SystemPageTable: a sorted map of
- * [vpn, vpn+len) runs, strided or carrying an explicit scatter frame
- * vector (one node per mirrored fault batch instead of one per page).
- * Fragment values are *stamped by window* (each recomputeFragments
- * call only rewrites the pages inside its window), so they cannot be
- * derived from the run alone; each run carries a run-length-encoded
- * list of fragment segments that reproduces the per-page stamping
- * history exactly. An empty segment list is the common case and means
- * "every page fragment 0" (the value fresh PTEs get), so scattered
- * mirrors allocate no RLE storage at all.
+ * Translations live in the same extent-coalesced run map as the system
+ * table (SystemPageTable: strided or scatter runs, identical merge
+ * rules). Fragment values are *stamped by window* (each
+ * recomputeFragments call only rewrites the pages inside its window),
+ * so they cannot be derived from the runs; they live beside them in a
+ * page-absolute overlay of [vpn, vpn+len) stamps that holds only the
+ * *nonzero* values. A page with no stamp carries fragment 0, the value
+ * fresh PTEs get, so scattered mirrors store nothing extra. The
+ * overlay only ever covers mapped pages: inserts land on unmapped
+ * (hence unstamped) pages, removeRange clears its window, and
+ * recomputeFragments stamps present pages only.
  */
 
 #ifndef UPM_VM_GPU_PAGE_TABLE_HH
 #define UPM_VM_GPU_PAGE_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -51,82 +53,35 @@ struct Fragment
 };
 
 /**
- * An extent of GPU-mapped pages. Strided (scatter null, page vpn+i ->
- * frame+i) or scatter (scatter[i] gives page vpn+i's frame). The
- * scatter pointer aliases table storage and is valid only until the
- * next table mutation.
- */
-struct GpuPteRun
-{
-    Vpn vpn = 0;
-    std::uint64_t len = 0;
-    FrameId frame = 0;
-    PteFlags flags;
-    const FrameId *scatter = nullptr;
-
-    Vpn end() const { return vpn + len; }
-
-    FrameId
-    frameOf(Vpn v) const
-    {
-        return scatter != nullptr ? scatter[v - vpn] : frame + (v - vpn);
-    }
-};
-
-/**
  * GPU page table. PTEs are inserted by the HMM mirror (or directly by
- * the up-front allocators); `recomputeFragments` runs the driver's
- * opportunistic scan over a window after every batch of inserts.
+ * the up-front allocators) with fragment 0; `recomputeFragments` runs
+ * the driver's opportunistic scan over a window after every batch of
+ * inserts. Inserts, run lookups, gap walks and counts are the run
+ * map's own (see SystemPageTable).
  */
-class GpuPageTable
+class GpuPageTable : private SystemPageTable
 {
   public:
     /** Largest fragment the PTE encoding supports (2^31 pages). */
     static constexpr unsigned kMaxFragment = 31;
 
-    /** Map @p vpn (no fragment yet). Panics if present. */
-    void
-    insert(Vpn vpn, FrameId frame, PteFlags flags = {})
-    {
-        insertRange(vpn, 1, frame, flags);
-    }
-
-    /**
-     * Map [vpn, vpn+len) to frames [frame, frame+len) with fragment 0
-     * (unstamped), merging with contiguous same-flag strided
-     * neighbours. Panics if any page is present.
-     */
-    void insertRange(Vpn vpn, std::uint64_t len, FrameId frame,
-                     PteFlags flags = {});
-
-    /**
-     * Map page vpn+i to frames[i] for i in [0, n) as one run with
-     * fragment 0. A frame-contiguous batch degenerates to a strided
-     * run. Panics if any page is present.
-     */
-    void insertFrames(Vpn vpn, const FrameId *frames, std::uint64_t n,
-                      PteFlags flags = {});
+    using SystemPageTable::forEachGap;
+    using SystemPageTable::insert;
+    using SystemPageTable::insertFrames;
+    using SystemPageTable::insertRange;
+    using SystemPageTable::lookupRun;
+    using SystemPageTable::present;
+    using SystemPageTable::presentCount;
+    using SystemPageTable::presentInRange;
+    using SystemPageTable::runCount;
 
     std::optional<GpuPte> lookup(Vpn vpn) const;
 
-    /** @return the extent containing @p vpn, if present. */
-    std::optional<GpuPteRun> lookupRun(Vpn vpn) const;
-
-    bool present(Vpn vpn) const { return findRun(vpn) != runs.end(); }
-
     /** Unmap; @return true if it was mapped. */
-    bool remove(Vpn vpn);
+    bool remove(Vpn vpn) { return removeRange(vpn, vpn + 1) != 0; }
 
     /** Unmap every present page in [begin, end). @return removed. */
     std::uint64_t removeRange(Vpn begin, Vpn end);
-
-    std::uint64_t presentCount() const { return presentPages; }
-
-    /** Number of stored runs (diagnostics / tests). */
-    std::uint64_t runCount() const { return runs.size(); }
-
-    /** Present pages within [begin, end). O(log runs + runs hit). */
-    std::uint64_t presentInRange(Vpn begin, Vpn end) const;
 
     /**
      * Driver fragment scan over [begin, end): find maximal stretches
@@ -158,66 +113,12 @@ class GpuPageTable
     forRange(Vpn begin, Vpn end, Fn &&fn) const
     {
         forEachFragSeg(begin, end,
-                       [&](const RunMap::value_type &node, Vpn seg_begin,
-                           Vpn seg_end, std::uint8_t frag) {
-                           const Run &run = node.second;
-                           GpuPte pte{0, run.flags, frag};
-                           for (Vpn vpn = seg_begin; vpn < seg_end;
-                                ++vpn) {
-                               pte.frame =
-                                   run.scatter.empty()
-                                       ? run.frame + (vpn - node.first)
-                                       : run.scatter[vpn - node.first];
-                               fn(vpn, pte);
-                           }
+                       [&](const PteRun &run, Vpn seg_begin, Vpn seg_end,
+                           std::uint8_t frag) {
+                           for (Vpn vpn = seg_begin; vpn < seg_end; ++vpn)
+                               fn(vpn,
+                                  GpuPte{run.frameOf(vpn), run.flags, frag});
                        });
-    }
-
-    /**
-     * Visit runs overlapping [begin, end) in vpn order, clipped to the
-     * window. @param fn callable (const GpuPteRun &); the run's
-     * scatter pointer is valid only while the table is unmodified.
-     */
-    template <typename Fn>
-    void
-    forEachRun(Vpn begin, Vpn end, Fn &&fn) const
-    {
-        if (begin >= end)
-            return;
-        auto it = runs.upper_bound(begin);
-        if (it != runs.begin()) {
-            --it;
-            if (begin >= it->first + it->second.len)
-                ++it;
-        }
-        for (; it != runs.end() && it->first < end; ++it) {
-            Vpn clip_begin = std::max(begin, it->first);
-            Vpn clip_end = std::min(end, it->first + it->second.len);
-            fn(GpuPteRun{clip_begin, clip_end - clip_begin,
-                         frameAt(it, clip_begin), it->second.flags,
-                         it->second.scatter.empty()
-                             ? nullptr
-                             : it->second.scatter.data() +
-                                   (clip_begin - it->first)});
-        }
-    }
-
-    /**
-     * Visit the *unmapped* gaps of [begin, end) in vpn order.
-     * @param fn callable (Vpn gap_begin, Vpn gap_end).
-     */
-    template <typename Fn>
-    void
-    forEachGap(Vpn begin, Vpn end, Fn &&fn) const
-    {
-        Vpn cursor = begin;
-        forEachRun(begin, end, [&](const GpuPteRun &run) {
-            if (cursor < run.vpn)
-                fn(cursor, run.vpn);
-            cursor = run.end();
-        });
-        if (cursor < end)
-            fn(cursor, end);
     }
 
     /**
@@ -233,102 +134,63 @@ class GpuPageTable
     forEachFragmentRun(Vpn begin, Vpn end, Fn &&fn) const
     {
         forEachFragSeg(begin, end,
-                       [&](const RunMap::value_type &, Vpn seg_begin,
-                           Vpn seg_end, std::uint8_t frag) {
+                       [&](const PteRun &, Vpn seg_begin, Vpn seg_end,
+                           std::uint8_t frag) {
                            fn(seg_begin, seg_end - seg_begin, frag);
                        });
     }
 
   private:
-    /** One RLE fragment segment, run-relative: pages
-     *  [off, off+len) of the run all carry @ref frag. */
-    struct FragSeg
+    /** Overlay entry: pages [key, key+len) carry fragment @ref frag,
+     *  which is never 0. */
+    struct Stamp
     {
-        std::uint64_t off = 0;
         std::uint64_t len = 0;
         std::uint8_t frag = 0;
     };
 
+    using StampMap = std::map<Vpn, Stamp>;
+
+    /** First stamp ending after @p vpn (it may start after it). */
+    StampMap::const_iterator stampFrom(Vpn vpn) const;
+
+    /** Drop every stamp in [begin, end), trimming those it cuts. */
+    void clearStamps(Vpn begin, Vpn end);
+
     /**
-     * Stored extent. @ref scatter empty means strided. @ref frags
-     * tiles [0, len) in ascending order; empty means every page
-     * carries fragment 0.
+     * Walk the runs in [begin, end) and the overlay together, in one
+     * pass: fn(const PteRun &run, Vpn seg_begin, Vpn seg_end, uint8
+     * frag) for each piece of a run that shares one fragment value.
+     * O(runs + stamps) in the window.
      */
-    struct Run
-    {
-        std::uint64_t len = 0;
-        FrameId frame = 0;
-        PteFlags flags;
-        std::vector<FrameId> scatter;
-        std::vector<FragSeg> frags;
-    };
-
-    using RunMap = std::map<Vpn, Run>;
-
-    RunMap::const_iterator findRun(Vpn vpn) const;
-
-    /** Frame of page @p vpn, which must lie inside @p it's run. */
-    template <typename It>
-    static FrameId
-    frameAt(It it, Vpn vpn)
-    {
-        const auto &run = it->second;
-        return run.scatter.empty() ? run.frame + (vpn - it->first)
-                                   : run.scatter[vpn - it->first];
-    }
-
-    /** Expand a lazy all-zero RLE into an explicit segment. */
-    static void
-    materializeFrags(Run &run)
-    {
-        if (run.frags.empty())
-            run.frags.push_back({0, run.len, 0});
-    }
-
-    /** Split @p frags at run-relative @p cut; returns the suffix
-     *  (rebased to offset 0) and truncates @p frags to the prefix.
-     *  An empty (lazy all-zero) input stays empty on both sides. */
-    static std::vector<FragSeg> splitFrags(std::vector<FragSeg> &frags,
-                                           std::uint64_t cut);
-
-    /** Visit clipped fragment segments of runs overlapping the window,
-     *  with the owning map node:
-     *  fn(node, abs_seg_begin, abs_seg_end, frag). */
     template <typename Fn>
     void
     forEachFragSeg(Vpn begin, Vpn end, Fn &&fn) const
     {
-        if (begin >= end)
-            return;
-        auto it = runs.upper_bound(begin);
-        if (it != runs.begin()) {
-            --it;
-            if (begin >= it->first + it->second.len)
-                ++it;
-        }
-        for (; it != runs.end() && it->first < end; ++it) {
-            if (it->second.frags.empty()) {
-                Vpn seg_begin = it->first;
-                Vpn seg_end = it->first + it->second.len;
-                fn(*it, std::max(begin, seg_begin),
-                   std::min(end, seg_end), std::uint8_t{0});
-                continue;
+        auto st = stampFrom(begin);
+        forEachRun(begin, end, [&](const PteRun &run) {
+            Vpn v = run.vpn;
+            while (v < run.end()) {
+                while (st != overlay.end() &&
+                       st->first + st->second.len <= v)
+                    ++st;
+                if (st == overlay.end() || st->first >= run.end()) {
+                    fn(run, v, run.end(), std::uint8_t{0});
+                    return;
+                }
+                if (v < st->first) {
+                    fn(run, v, st->first, std::uint8_t{0});
+                    v = st->first;
+                }
+                Vpn seg_end =
+                    std::min(run.end(), st->first + st->second.len);
+                fn(run, v, seg_end, st->second.frag);
+                v = seg_end;
             }
-            for (const FragSeg &seg : it->second.frags) {
-                Vpn seg_begin = it->first + seg.off;
-                Vpn seg_end = seg_begin + seg.len;
-                if (seg_end <= begin)
-                    continue;
-                if (seg_begin >= end)
-                    break;
-                fn(*it, std::max(begin, seg_begin),
-                   std::min(end, seg_end), seg.frag);
-            }
-        }
+        });
     }
 
-    RunMap runs;
-    std::uint64_t presentPages = 0;
+    StampMap overlay;
 };
 
 } // namespace upm::vm

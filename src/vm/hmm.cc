@@ -16,10 +16,11 @@ HmmMirror::mirrorRange(Vpn begin, Vpn end)
         // per-page cross-check only when the auditor is attached, so
         // UPMSan coverage is unchanged at zero cost when off.
         sysTable.forRange(begin, end, [&](Vpn vpn, const Pte &pte) {
-            if (!gpuTable.present(vpn))
+            auto gpu_run = gpuTable.lookupRun(vpn);
+            if (!gpu_run)
                 return;
-            auto gpu_pte = gpuTable.lookup(vpn);
-            if (gpu_pte->frame != pte.frame) {
+            FrameId gpu_frame = gpu_run->frameOf(vpn);
+            if (gpu_frame != pte.frame) {
                 aud->record(
                     audit::ViolationKind::MirrorDivergence, addrOf(vpn),
                     strprintf("vpn 0x%llx: system PTE maps frame %llu "
@@ -27,7 +28,7 @@ HmmMirror::mirrorRange(Vpn begin, Vpn end)
                               static_cast<unsigned long long>(vpn),
                               static_cast<unsigned long long>(pte.frame),
                               static_cast<unsigned long long>(
-                                  gpu_pte->frame)));
+                                  gpu_frame)));
             }
         });
     }

@@ -18,28 +18,35 @@ SystemPageTable::findRun(Vpn vpn) const
     return it;
 }
 
+SystemPageTable::RunMap::iterator
+SystemPageTable::checkFree(Vpn vpn, std::uint64_t len)
+{
+    auto next = runs.lower_bound(vpn);
+    if (next != runs.begin()) {
+        auto prev = std::prev(next);
+        if (vpn < prev->first + prev->second.len)
+            panic("PTE for vpn 0x%llx already present",
+                  static_cast<unsigned long long>(vpn));
+    }
+    if (next != runs.end() && next->first < vpn + len)
+        panic("PTE for vpn 0x%llx already present",
+              static_cast<unsigned long long>(next->first));
+    return next;
+}
+
 void
 SystemPageTable::insertRange(Vpn vpn, std::uint64_t len, FrameId frame,
                              PteFlags flags)
 {
     if (len == 0)
         return;
-    auto next = runs.lower_bound(vpn);
-    auto prev = next;
-    bool merge_prev = false;
-    if (prev != runs.begin()) {
-        --prev;
-        if (vpn < prev->first + prev->second.len)
-            panic("system PTE for vpn 0x%llx already present",
-                  static_cast<unsigned long long>(vpn));
-        merge_prev = prev->second.scatter.empty() &&
-                     prev->first + prev->second.len == vpn &&
-                     prev->second.frame + prev->second.len == frame &&
-                     prev->second.flags == flags;
-    }
-    if (next != runs.end() && next->first < vpn + len)
-        panic("system PTE for vpn 0x%llx already present",
-              static_cast<unsigned long long>(next->first));
+    auto next = checkFree(vpn, len);
+    auto prev = next == runs.begin() ? runs.end() : std::prev(next);
+    bool merge_prev = prev != runs.end() &&
+                      prev->second.scatter.empty() &&
+                      prev->first + prev->second.len == vpn &&
+                      prev->second.frame + prev->second.len == frame &&
+                      prev->second.flags == flags;
     bool merge_next = next != runs.end() &&
                       next->second.scatter.empty() &&
                       next->first == vpn + len &&
@@ -61,11 +68,28 @@ SystemPageTable::insertRange(Vpn vpn, std::uint64_t len, FrameId frame,
     presentPages += len;
 }
 
+namespace {
+
+/** True when frames[i] == frames[0] + i throughout. */
+bool
+isStrided(const FrameId *frames, std::uint64_t n)
+{
+    for (std::uint64_t i = 1; i < n; ++i)
+        if (frames[i] != frames[0] + i)
+            return false;
+    return true;
+}
+
+} // namespace
+
 void
 SystemPageTable::insertFrames(Vpn vpn, const FrameId *frames,
                               std::uint64_t n, PteFlags flags)
 {
-    insertFrames(vpn, std::vector<FrameId>(frames, frames + n), flags);
+    if (n != 0 && isStrided(frames, n))
+        insertRange(vpn, n, frames[0], flags);
+    else
+        insertFrames(vpn, std::vector<FrameId>(frames, frames + n), flags);
 }
 
 void
@@ -75,25 +99,11 @@ SystemPageTable::insertFrames(Vpn vpn, std::vector<FrameId> &&frames,
     std::uint64_t n = frames.size();
     if (n == 0)
         return;
-    bool strided = true;
-    for (std::uint64_t i = 1; strided && i < n; ++i)
-        strided = frames[i] == frames[0] + i;
-    if (strided) {
+    if (isStrided(frames.data(), n)) {
         insertRange(vpn, n, frames[0], flags);
         return;
     }
-
-    auto next = runs.lower_bound(vpn);
-    if (next != runs.begin()) {
-        auto prev = std::prev(next);
-        if (vpn < prev->first + prev->second.len)
-            panic("system PTE for vpn 0x%llx already present",
-                  static_cast<unsigned long long>(vpn));
-    }
-    if (next != runs.end() && next->first < vpn + n)
-        panic("system PTE for vpn 0x%llx already present",
-              static_cast<unsigned long long>(next->first));
-
+    auto next = checkFree(vpn, n);
     FrameId first = frames.front();
     runs.emplace_hint(next, vpn,
                       Run{n, first, flags, std::move(frames)});

@@ -11,7 +11,8 @@
  * interleaved pinned buffer instead of a million tree nodes. Runs
  * never overlap; strided runs are maximally merged against strided
  * neighbours, so a multi-GiB hipMalloc costs a handful of nodes and
- * range operations are O(log runs + touched runs).
+ * range operations are O(log runs + touched runs). The GPU page table
+ * (gpu_page_table.hh) stores its translations in this same structure.
  */
 
 #ifndef UPM_VM_PAGE_TABLE_HH
@@ -321,6 +322,10 @@ class SystemPageTable
 
     /** Iterator to the run containing @p vpn, or end(). One descent. */
     RunMap::const_iterator findRun(Vpn vpn) const;
+
+    /** Panic unless [vpn, vpn+len) is unmapped. @return the first run
+     *  after it. */
+    RunMap::iterator checkFree(Vpn vpn, std::uint64_t len);
 
     /** Frame of page @p vpn, which must lie inside @p it's run. */
     template <typename It>

@@ -171,9 +171,9 @@ TEST(Hierarchy, RejectsNonGrowingLevels)
 }
 
 /**
- * Validation of the analytic min(1, C/S) model against the functional
- * cache under uniform random access -- the assumption Fig. 2's latency
- * model rests on.
+ * Validation of the analytic hit fractions (CacheHierarchy::
+ * levelFractions) against the functional cache under uniform random
+ * access -- the assumption Fig. 2's latency model rests on.
  */
 class AnalyticVsFunctional : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -196,9 +196,10 @@ TEST_P(AnalyticVsFunctional, HitRateMatches)
 
     double measured = static_cast<double>(cache.hits()) /
                       static_cast<double>(cache.hits() + cache.misses());
-    double analytic = std::min(
-        1.0, static_cast<double>(cfg.sizeBytes) /
-                 static_cast<double>(working_set));
+    // The fraction the timing model uses, from a one-level hierarchy
+    // of the same capacity (latencies do not enter the fractions).
+    CacheHierarchy hierarchy({{"L1", cfg.sizeBytes, 1.0}}, 10.0, 100.0);
+    double analytic = hierarchy.levelFractions(working_set, 0.0)[0];
     EXPECT_NEAR(measured, analytic, 0.08);
 }
 

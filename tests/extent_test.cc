@@ -473,10 +473,11 @@ TEST_P(ExtentParity, SystemTableMatchesPerPageModel)
 }
 
 /**
- * Randomized parity of the extent GPU table (RLE fragment segments)
- * against the per-page driver scan it replaced: every per-page
- * fragment value, lookup, and histogram must match after arbitrary
- * interleavings of inserts, windowed recomputes, and removals.
+ * Randomized parity of the extent GPU table (runs plus the nonzero
+ * fragment overlay) against the per-page driver scan it replaced:
+ * every per-page fragment value, lookup, fragment-run walk and
+ * histogram must match after arbitrary interleavings of inserts,
+ * windowed recomputes, and removals.
  */
 TEST_P(ExtentParity, GpuTableMatchesPerPageModel)
 {
@@ -485,6 +486,34 @@ TEST_P(ExtentParity, GpuTableMatchesPerPageModel)
     vm::GpuPageTable pt;
     ReferenceGpuTable ref;
     std::set<Vpn> present;
+
+    // forEachFragmentRun is the walk the timing model reads. Expanded
+    // to per-page (vpn, frag) it must equal the oracle over the
+    // window, with ascending, disjoint, non-empty segments inside the
+    // window that cover mapped pages only.
+    auto checkFragmentWalk = [&](Vpn b, Vpn e) {
+        std::vector<std::pair<Vpn, std::uint8_t>> got;
+        Vpn prev_end = b;
+        pt.forEachFragmentRun(
+            b, e, [&](Vpn seg, std::uint64_t len, std::uint8_t frag) {
+                EXPECT_GT(len, 0u);
+                EXPECT_GE(seg, prev_end);
+                EXPECT_LE(seg + len, e);
+                prev_end = seg + len;
+                for (Vpn v = seg; v < seg + len; ++v) {
+                    EXPECT_EQ(present.count(v), 1u) << v;
+                    got.emplace_back(v, frag);
+                }
+            });
+        std::vector<std::pair<Vpn, std::uint8_t>> want;
+        for (auto it = ref.all().lower_bound(b);
+             it != ref.all().end() && it->first < e; ++it)
+            want.emplace_back(it->first, it->second.fragment);
+        EXPECT_EQ(got, want) << "window [" << b << ", " << e << ")";
+    };
+    // A separate stream picks the windows, so the op sequence is the
+    // same as without the walk checks.
+    SplitMix64 window_rng(exec::taskSeed(0xf4a9u, GetParam()));
 
     for (int step = 0; step < 300; ++step) {
         unsigned op = static_cast<unsigned>(rng.nextBelow(5));
@@ -557,7 +586,11 @@ TEST_P(ExtentParity, GpuTableMatchesPerPageModel)
             break;
           }
         }
+        Vpn window = window_rng.nextBelow(kSpace);
+        checkFragmentWalk(window,
+                          window + 1 + window_rng.nextBelow(kSpace - window));
     }
+    checkFragmentWalk(0, kSpace);
 
     // Per-page walk parity, including fragment stamps.
     std::vector<std::pair<Vpn, vm::GpuPte>> walked;

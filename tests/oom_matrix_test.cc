@@ -37,6 +37,13 @@ const OomCase kCases[] = {
     {AllocatorKind::ManagedStatic, false, true, "managedStatic"},
 };
 
+/** Print a case by its label, so test names carry no pointer bytes. */
+void
+PrintTo(const OomCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 core::SystemConfig
 tinyAuditedConfig()
 {

@@ -298,9 +298,8 @@ class CountingObserver : public ServeObserver
 TEST(Serve, ObserverSeesEveryDisposition)
 {
     core::System sys(smallSystem());
-    ServeNode node(sys, smallServe(300));
     CountingObserver counting;
-    node.setObserver(&counting);
+    ServeNode node(sys, smallServe(300), &counting);
     node.run();
 
     const ServeStats &st = node.stats();
@@ -322,9 +321,8 @@ TEST(Serve, ObserverDoesNotPerturbOutcomes)
         without = node.stats();
     }
     core::System sys(smallSystem());
-    ServeNode node(sys, smallServe(300));
     CountingObserver counting;
-    node.setObserver(&counting);
+    ServeNode node(sys, smallServe(300), &counting);
     node.run();
     expectSameStats(without, node.stats());
 }
