@@ -511,8 +511,8 @@ TEST_P(ExtentParity, GpuTableMatchesPerPageModel)
             want.emplace_back(it->first, it->second.fragment);
         EXPECT_EQ(got, want) << "window [" << b << ", " << e << ")";
     };
-    // A separate stream picks the windows, so the op sequence is the
-    // same as without the walk checks.
+    // Windows come from their own stream, so the op sequence does not
+    // depend on the walk checks.
     SplitMix64 window_rng(exec::taskSeed(0xf4a9u, GetParam()));
 
     for (int step = 0; step < 300; ++step) {
