@@ -9,12 +9,13 @@
  *  1. Histogram scheduler point (the repo's largest least-advanced-
  *     agent workload, fig. 4 engine at fig. 11 scale): the TimeHeap
  *     calendar scheduler vs the O(ops x agents) linear scan it
- *     replaced. Simulated metrics must be byte-identical; the wall
- *     ratio is the speedup `--check-speedup T` gates on.
+ *     replaced, each timed 3 times in alternation. Every run must
+ *     give byte-identical simulated metrics; the ratio of the two
+ *     fastest times is the speedup `--check-speedup T` gates on.
  *
- *  2. Calendar drain point: serial runAll() vs runAllParallel() on 8
- *     workers over a cross-engine event soup; engine stats must be
- *     byte-identical, the wall ratio is reported.
+ *  2. Calendar drain point: runAll() over a cross-engine event soup;
+ *     the per-engine stats are the reported metrics, the drain's wall
+ *     time is printed.
  *
  *  3. Replay artifacts: `--dump trace.upmt --live-json live.json`
  *     runs a ring-traced oversubscription-evict workload, dumps the
@@ -31,7 +32,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -67,12 +68,25 @@ benchConfig()
 
 // ---- Part 1: histogram scheduler ----------------------------------------
 
+/** Timed runs per side; each side keeps its fastest, so one run slowed
+ *  by host load cannot fail the speedup gate. */
+constexpr int kTimedRuns = 3;
+
 struct HistogramTimings
 {
     core::HistogramResult result;
-    double calendarMs = 0.0;
-    double scanMs = 0.0;
+    double calendarMs = std::numeric_limits<double>::infinity();
+    double scanMs = std::numeric_limits<double>::infinity();
 };
+
+bool
+sameResult(const core::HistogramResult &a, const core::HistogramResult &b)
+{
+    return a.cpuOpsPerNs == b.cpuOpsPerNs &&
+           a.gpuOpsPerNs == b.gpuOpsPerNs &&
+           a.histogramSum == b.histogramSum && a.totalOps == b.totalOps &&
+           a.lineConflicts == b.lineConflicts;
+}
 
 HistogramTimings
 runHistogramPoint(const core::HistogramParams &params)
@@ -82,106 +96,81 @@ runHistogramPoint(const core::HistogramParams &params)
     core::HistogramEngine engine(sys);
 
     core::HistogramParams p = params;
-    p.impl = core::HistogramImpl::Calendar;
-    auto start = std::chrono::steady_clock::now();
-    t.result = engine.run(p);
-    t.calendarMs = wallMs(start);
+    for (int run = 0; run < kTimedRuns; ++run) {
+        p.impl = core::HistogramImpl::Calendar;
+        auto start = std::chrono::steady_clock::now();
+        auto result = engine.run(p);
+        t.calendarMs = std::min(t.calendarMs, wallMs(start));
 
-    p.impl = core::HistogramImpl::Scan;
-    start = std::chrono::steady_clock::now();
-    auto reference = engine.run(p);
-    t.scanMs = wallMs(start);
+        p.impl = core::HistogramImpl::Scan;
+        start = std::chrono::steady_clock::now();
+        auto reference = engine.run(p);
+        t.scanMs = std::min(t.scanMs, wallMs(start));
 
-    // The calendar port is an optimization, not a model change: any
-    // drift from the reference scan is a bug, not a data point.
-    if (t.result.cpuOpsPerNs != reference.cpuOpsPerNs ||
-        t.result.gpuOpsPerNs != reference.gpuOpsPerNs ||
-        t.result.histogramSum != reference.histogramSum ||
-        t.result.totalOps != reference.totalOps ||
-        t.result.lineConflicts != reference.lineConflicts) {
-        fatal("histogram calendar scheduler diverged from the "
-              "reference scan");
+        if (run == 0)
+            t.result = reference;
+        // The calendar port is an optimization, not a model change:
+        // any drift from the reference scan, or between repeated runs,
+        // is a bug, not a data point.
+        if (!sameResult(result, t.result) ||
+            !sameResult(reference, t.result)) {
+            fatal("histogram calendar scheduler diverged from the "
+                  "reference scan (timed run %d)",
+                  run);
+        }
     }
     return t;
 }
 
 // ---- Part 2: calendar drain ---------------------------------------------
 
+/** Gap between consecutive links of one chain (ns). */
+constexpr SimTime kChainGapNs = 64.0 + 1.0;
+
 struct DrainTimings
 {
     std::array<sched::EngineStats, sched::kNumEngines> stats{};
     std::size_t events = 0;
-    double serialMs = 0.0;
-    double parallelMs = 0.0;
+    double drainMs = 0.0;
 };
 
 /** Schedule one chain link; its handler schedules the next link
- *  strictly past the lookahead window, so the parallel drain is
- *  contract-legal. */
+ *  kChainGapNs later on the next engine down. */
 void
-scheduleChainLink(sched::EventCalendar &cal, SimTime when, unsigned left,
-                  SimTime lookahead)
+scheduleChainLink(sched::EventCalendar &cal, SimTime when, unsigned left)
 {
     if (left == 0)
         return;
     unsigned engine = left % sched::kNumEngines;
     cal.schedule(static_cast<sched::EngineId>(engine), when,
-                 static_cast<double>(left) * 0.25,
-                 [&cal, when, left, lookahead] {
-                     scheduleChainLink(cal, when + lookahead + 1.0,
-                                       left - 1, lookahead);
+                 static_cast<double>(left) * 0.25, [&cal, when, left] {
+                     scheduleChainLink(cal, when + kChainGapNs, left - 1);
                  });
 }
 
 void
-scheduleSoup(sched::EventCalendar &cal, std::size_t events,
-             SimTime lookahead)
+scheduleSoup(sched::EventCalendar &cal, std::size_t events)
 {
     SplitMix64 rng(kBenchSeed);
     std::size_t chains = events / 8;
     for (std::size_t c = 0; c < chains; ++c) {
         std::uint64_t roll = rng.next();
         SimTime at = 1.0 + static_cast<double>(roll % 4096) * 0.5;
-        scheduleChainLink(cal, at, 8, lookahead);
+        scheduleChainLink(cal, at, 8);
     }
 }
 
 DrainTimings
-runDrainPoint(std::size_t events, unsigned workers)
+runDrainPoint(std::size_t events)
 {
-    constexpr SimTime kLookahead = 64.0;
     DrainTimings t;
-    {
-        sched::EventCalendar cal(kLookahead);
-        scheduleSoup(cal, events, kLookahead);
-        auto start = std::chrono::steady_clock::now();
-        t.events = cal.runAll();
-        t.serialMs = wallMs(start);
-        for (unsigned e = 0; e < sched::kNumEngines; ++e)
-            t.stats[e] = cal.stats(static_cast<sched::EngineId>(e));
-    }
-    {
-        sched::EventCalendar cal(kLookahead);
-        scheduleSoup(cal, events, kLookahead);
-        exec::TaskPool pool(workers);
-        auto start = std::chrono::steady_clock::now();
-        std::size_t n = cal.runAllParallel(pool);
-        t.parallelMs = wallMs(start);
-        if (n != t.events)
-            fatal("parallel drain executed %zu events, serial %zu", n,
-                  t.events);
-        for (unsigned e = 0; e < sched::kNumEngines; ++e) {
-            sched::EngineStats st =
-                cal.stats(static_cast<sched::EngineId>(e));
-            if (st.executed != t.stats[e].executed ||
-                st.busyNs != t.stats[e].busyNs ||
-                st.lastEventNs != t.stats[e].lastEventNs) {
-                fatal("parallel drain diverged from serial on engine %s",
-                      sched::engineName(
-                          static_cast<sched::EngineId>(e)));
-            }
-        }
-    }
+    sched::EventCalendar cal;
+    scheduleSoup(cal, events);
+    auto start = std::chrono::steady_clock::now();
+    t.events = cal.runAll();
+    t.drainMs = wallMs(start);
+    for (unsigned e = 0; e < sched::kNumEngines; ++e)
+        t.stats[e] = cal.stats(static_cast<sched::EngineId>(e));
     return t;
 }
 
@@ -295,8 +284,8 @@ run(int argc, char **argv)
         static_cast<int>(rest.size()), rest.data());
 
     bench::banner("the event-core timing engine",
-                  "calendar scheduler and parallel drain vs the "
-                  "reference paths");
+                  "calendar scheduler vs the reference scan, plus the "
+                  "calendar drain");
 
     if (!dump_path.empty() || !live_json.empty()) {
         if (dump_path.empty() || live_json.empty()) {
@@ -334,13 +323,10 @@ run(int argc, char **argv)
         .metric("total_ops", h.result.totalOps)
         .metric("line_conflicts", h.result.lineConflicts);
 
-    // Cross-engine drain: serial vs 8-worker parallel windows.
+    // Cross-engine drain of a chained event soup.
     std::size_t soup = opt.smoke ? 40000 : 200000;
-    DrainTimings d = runDrainPoint(soup, 8);
-    std::printf("drain %zu events: serial %.1f ms, 8-worker %.1f ms "
-                "(x%.2f)\n",
-                d.events, d.serialMs, d.parallelMs,
-                d.serialMs / d.parallelMs);
+    DrainTimings d = runDrainPoint(soup);
+    std::printf("drain %zu events: %.1f ms\n", d.events, d.drainMs);
     auto &point = report.point().param("point", "drain").param(
         "events", std::uint64_t(d.events));
     for (unsigned e = 0; e < sched::kNumEngines; ++e) {

@@ -10,6 +10,7 @@
 #ifndef UPM_COMMON_UNITS_HH
 #define UPM_COMMON_UNITS_HH
 
+#include <bit>
 #include <cstdint>
 
 namespace upm {
@@ -74,14 +75,11 @@ isPow2(std::uint64_t x)
     return x != 0 && (x & (x - 1)) == 0;
 }
 
-/** Floor of log2(x); x must be nonzero. */
+/** Floor of log2(x); 0 for x == 0. */
 constexpr unsigned
 floorLog2(std::uint64_t x)
 {
-    unsigned r = 0;
-    while (x >>= 1)
-        ++r;
-    return r;
+    return x == 0 ? 0 : static_cast<unsigned>(std::bit_width(x)) - 1;
 }
 
 /** Ceiling of log2(x); x must be nonzero. */

@@ -56,24 +56,48 @@ FaultProbe::functionalFaults(FaultScenario scenario, std::uint64_t pages)
     vm::VmaPolicy policy;  // mmap-fresh anonymous memory
     policy.onDemand = true;
     policy.placement = vm::Placement::Scattered;
-    vm::VirtAddr base =
-        as.mmapAnon(pages * mem::kPageSize, policy, "fault_probe");
-    vm::Vpn first = vm::vpnOf(base);
+    auto mapped =
+        as.tryMmapAnon(pages * mem::kPageSize, policy, "fault_probe");
+    if (!mapped) {
+        fatal("fault probe: mmap of %llu page(s) failed: %s",
+              static_cast<unsigned long long>(pages),
+              statusName(mapped.status));
+    }
+    vm::Vpn first = vm::vpnOf(mapped.base);
 
+    auto cpu_faults = [&] {
+        auto result = as.tryResolveCpuFaultRange(first, first + pages);
+        if (!result) {
+            fatal("fault probe: CPU fault on %llu page(s) failed: %s",
+                  static_cast<unsigned long long>(pages),
+                  statusName(result.status));
+        }
+    };
+    auto gpu_faults = [&] {
+        auto kind = as.resolveGpuFault(first, pages);
+        if (kind == vm::GpuFaultKind::Violation ||
+            kind == vm::GpuFaultKind::OutOfMemory) {
+            fatal("fault probe: GPU fault on %llu page(s) failed: %s",
+                  static_cast<unsigned long long>(pages),
+                  statusName(kind == vm::GpuFaultKind::OutOfMemory
+                                 ? Status::OutOfMemory
+                                 : Status::AccessFault));
+        }
+    };
     switch (scenario) {
       case FaultScenario::GpuMajor:
-        as.resolveGpuFault(first, pages);
+        gpu_faults();
         break;
       case FaultScenario::GpuMinor:
-        as.resolveCpuFaultRange(first, first + pages);
-        as.resolveGpuFault(first, pages);
+        cpu_faults();
+        gpu_faults();
         break;
       case FaultScenario::Cpu1:
       case FaultScenario::Cpu12:
-        as.resolveCpuFaultRange(first, first + pages);
+        cpu_faults();
         break;
     }
-    as.munmapChecked(base);
+    as.munmapChecked(mapped.base);
 }
 
 SampleStats

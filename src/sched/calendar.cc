@@ -1,10 +1,7 @@
 #include "sched/calendar.hh"
 
-#include <algorithm>
 #include <limits>
-
-#include "common/log.hh"
-#include "exec/task_pool.hh"
+#include <utility>
 
 namespace upm::sched {
 
@@ -25,15 +22,13 @@ engineName(EngineId engine)
 namespace {
 
 /** Context of the handler currently running on this thread (null
- *  outside any handler). Thread-local so a parallel window's engine
- *  tasks each see their own batch. */
+ *  outside any handler): the source engine its schedule() calls are
+ *  stamped with. */
 struct TlsSlot
 {
     /** Owning calendar (guards against nested distinct calendars). */
     const void *owner = nullptr;
     unsigned source = kExternalSource;
-    void *batch = nullptr;
-    SimTime windowEnd = 0.0;
 };
 
 thread_local TlsSlot *tls_ctx = nullptr;
@@ -52,25 +47,10 @@ struct TlsScope
 
 } // namespace
 
-EventCalendar::EventCalendar(SimTime lookahead_ns)
+EventCalendar::EventCalendar()
 {
     MutexLock lock(mtx);
-    lookaheadNs = lookahead_ns;
     seqOf.fill(0);
-}
-
-void
-EventCalendar::setLookahead(SimTime lookahead_ns)
-{
-    MutexLock lock(mtx);
-    lookaheadNs = lookahead_ns;
-}
-
-SimTime
-EventCalendar::lookahead() const
-{
-    MutexLock lock(mtx);
-    return lookaheadNs;
 }
 
 void
@@ -78,39 +58,12 @@ EventCalendar::schedule(EngineId target, SimTime when, SimTime busy,
                         Handler fn)
 {
     TlsSlot *ctx = tls_ctx;
-    if (ctx != nullptr && ctx->owner == this && ctx->batch != nullptr) {
-        // Inside a parallel window: stage engine-locally (no lock; the
-        // batch belongs to this task alone) and merge at the barrier.
-        static_cast<Batch *>(ctx->batch)->staged.push_back(
-            Staged{target, when, busy, std::move(fn)});
-        return;
-    }
     unsigned source = ctx != nullptr && ctx->owner == this
                           ? ctx->source
                           : kExternalSource;
     MutexLock lock(mtx);
-    scheduleLocked(source, target, when, busy, std::move(fn));
-}
-
-void
-EventCalendar::scheduleLocked(unsigned source, EngineId target,
-                              SimTime when, SimTime busy, Handler fn)
-    UPM_REQUIRES(mtx)
-{
-    unsigned t = static_cast<unsigned>(target);
-    queues[t].push(when, source, seqOf[source]++,
-                   Event{busy, std::move(fn)});
-}
-
-bool
-EventCalendar::empty() const
-{
-    MutexLock lock(mtx);
-    for (const auto &q : queues) {
-        if (!q.empty())
-            return false;
-    }
-    return true;
+    queues[static_cast<unsigned>(target)].push(
+        when, source, seqOf[source]++, Event{busy, std::move(fn)});
 }
 
 std::size_t
@@ -121,14 +74,6 @@ EventCalendar::pending() const
     for (const auto &q : queues)
         n += q.size();
     return n;
-}
-
-SimTime
-EventCalendar::nextTime() const
-{
-    MutexLock lock(mtx);
-    int best = bestEngineLocked();
-    return best < 0 ? -1.0 : queues[best].top().when;
 }
 
 int
@@ -166,7 +111,6 @@ EventCalendar::runUntil(SimTime horizon)
             ++st.executed;
             st.busyNs += entry.payload.busy;
             st.lastEventNs = entry.when;
-            completedNs = std::max(completedNs, entry.when);
         }
         if (entry.payload.fn) {
             TlsSlot ctx;
@@ -186,107 +130,11 @@ EventCalendar::runAll()
     return runUntil(std::numeric_limits<SimTime>::infinity());
 }
 
-std::size_t
-EventCalendar::runAllParallel(exec::TaskPool &pool)
-{
-    std::size_t total = 0;
-    for (;;) {
-        std::vector<Batch> batches;
-        SimTime window_end = 0.0;
-        {
-            MutexLock lock(mtx);
-            int best = bestEngineLocked();
-            if (best < 0)
-                break;
-            window_end = queues[best].top().when + lookaheadNs;
-            // Extract each engine's window batch in engine order. The
-            // accumulator starts from the engine's running stats so
-            // the floating-point association of busyNs matches a
-            // serial run addition for addition.
-            for (unsigned e = 0; e < kNumEngines; ++e) {
-                if (queues[e].empty() ||
-                    queues[e].top().when > window_end) {
-                    continue;
-                }
-                Batch b;
-                b.engine = static_cast<EngineId>(e);
-                b.acc = engineStats[e];
-                while (!queues[e].empty() &&
-                       queues[e].top().when <= window_end) {
-                    b.entries.push_back(queues[e].pop());
-                }
-                batches.push_back(std::move(b));
-            }
-        }
-        pool.parallelFor(batches.size(), [&](std::size_t i) {
-            Batch &b = batches[i];
-            TlsSlot ctx;
-            ctx.owner = this;
-            ctx.source = static_cast<unsigned>(b.engine);
-            ctx.batch = &b;
-            ctx.windowEnd = window_end;
-            TlsScope scope(&ctx);
-            for (const auto &entry : b.entries) {
-                ++b.acc.executed;
-                b.acc.busyNs += entry.payload.busy;
-                b.acc.lastEventNs = entry.when;
-                if (entry.payload.fn)
-                    entry.payload.fn();
-            }
-        });
-        MutexLock lock(mtx);
-        for (Batch &b : batches) {
-            unsigned e = static_cast<unsigned>(b.engine);
-            engineStats[e] = b.acc;
-            completedNs = std::max(completedNs, b.acc.lastEventNs);
-            total += b.entries.size();
-        }
-        // Merge staged events in fixed engine order (batches were
-        // built in engine order) so sequence stamps are scheduling-
-        // order identical to a serial run.
-        for (Batch &b : batches) {
-            for (Staged &s : b.staged) {
-                if (!(s.when > window_end)) {
-                    fatal("sched: engine %s scheduled an event at "
-                          "%.17g ns inside the lookahead window ending "
-                          "at %.17g ns; handlers in a parallel drain "
-                          "must schedule strictly after the window "
-                          "(raise the event delay or lower the "
-                          "lookahead)",
-                          engineName(b.engine), s.when, window_end);
-                }
-                scheduleLocked(static_cast<unsigned>(b.engine),
-                               s.target, s.when, s.busy,
-                               std::move(s.fn));
-            }
-        }
-    }
-    return total;
-}
-
-SimTime
-EventCalendar::completedThrough() const
-{
-    MutexLock lock(mtx);
-    return completedNs;
-}
-
 EngineStats
 EventCalendar::stats(EngineId engine) const
 {
     MutexLock lock(mtx);
     return engineStats[static_cast<unsigned>(engine)];
-}
-
-void
-EventCalendar::clear()
-{
-    MutexLock lock(mtx);
-    for (auto &q : queues)
-        q.clear();
-    seqOf.fill(0);
-    engineStats.fill(EngineStats{});
-    completedNs = 0.0;
 }
 
 } // namespace upm::sched

@@ -141,19 +141,6 @@ AddressSpace::tryMmapAnon(std::uint64_t size, const VmaPolicy &policy,
     return {Status::Success, base};
 }
 
-VirtAddr
-AddressSpace::mmapAnon(std::uint64_t size, const VmaPolicy &policy,
-                       std::string name)
-{
-    auto result = tryMmapAnon(size, policy, std::move(name));
-    if (!result) {
-        throw StatusError(result.status,
-                          strprintf("mmap of %llu bytes",
-                                    static_cast<unsigned long long>(size)));
-    }
-    return result.base;
-}
-
 Status
 AddressSpace::munmap(VirtAddr base)
 {
@@ -431,20 +418,6 @@ AddressSpace::replicate(Vma &vma, std::uint64_t n)
     return true;
 }
 
-std::uint64_t
-AddressSpace::populateRange(VirtAddr base, std::uint64_t size)
-{
-    auto result = tryPopulateRange(base, size);
-    if (!result) {
-        const Vma *vma = findVma(base);
-        throw StatusError(result.status,
-                          strprintf("populating '%s'",
-                                    vma != nullptr ? vma->name.c_str()
-                                                   : "<unmapped>"));
-    }
-    return result.pages;
-}
-
 Status
 AddressSpace::pinAndMapGpu(VirtAddr base)
 {
@@ -465,12 +438,6 @@ AddressSpace::pinAndMapGpu(VirtAddr base)
     sysTable.setFlagsRange(vma.beginVpn(), vma.endVpn(), flagsFor(vma));
     hmm.mirrorRange(vma.beginVpn(), vma.endVpn());
     return Status::Success;
-}
-
-void
-AddressSpace::resolveCpuFault(Vpn vpn)
-{
-    resolveCpuFaultRange(vpn, vpn + 1);
 }
 
 PopulateResult
@@ -523,19 +490,6 @@ AddressSpace::tryResolveCpuFaultRange(Vpn first, Vpn last)
         pol->noteAccessRange(polSpace, first, missing);
     }
     return {Status::Success, missing};
-}
-
-std::uint64_t
-AddressSpace::resolveCpuFaultRange(Vpn first, Vpn last)
-{
-    auto result = tryResolveCpuFaultRange(first, last);
-    if (!result) {
-        throw StatusError(
-            result.status,
-            strprintf("CPU fault on vpn 0x%llx",
-                      static_cast<unsigned long long>(first)));
-    }
-    return result.pages;
 }
 
 GpuFaultKind

@@ -158,7 +158,7 @@ class AddressSpace
     /**
      * Create a VMA of @p size bytes (rounded up to pages) and attach
      * host backing. Up-front policies are NOT populated here; the
-     * allocator layer calls populateRange so it can charge time.
+     * allocator layer calls tryPopulateRange so it can charge time.
      *
      * Recoverable failures: Status::InvalidValue for a zero-length or
      * overlapping request, Status::OutOfMemory when the simulated VA
@@ -166,10 +166,6 @@ class AddressSpace
      */
     MmapResult tryMmapAnon(std::uint64_t size, const VmaPolicy &policy,
                            std::string name = "");
-
-    /** Convenience form of tryMmapAnon(); throws StatusError. */
-    VirtAddr mmapAnon(std::uint64_t size, const VmaPolicy &policy,
-                      std::string name = "");
 
     /**
      * Unmap: free frames, drop PTEs from both tables, drop backing.
@@ -205,10 +201,6 @@ class AddressSpace
      */
     PopulateResult tryPopulateRange(VirtAddr base, std::uint64_t size);
 
-    /** Convenience form of tryPopulateRange(); throws StatusError.
-     *  @return pages newly populated. */
-    std::uint64_t populateRange(VirtAddr base, std::uint64_t size);
-
     /**
      * hipHostRegister semantics: fault in any missing pages through
      * the normal CPU path (keeping the region's scattered placement),
@@ -218,25 +210,17 @@ class AddressSpace
      */
     Status pinAndMapGpu(VirtAddr base);
 
-    /** Resolve a CPU first-touch fault on @p vpn (one scattered
-     *  page); throws StatusError on segfault / protection / OOM. */
-    void resolveCpuFault(Vpn vpn);
-
     /**
      * Resolve CPU first-touch faults for every missing page in
-     * [first, last) in one batch: equivalent to calling
-     * resolveCpuFault per page (the scattered pool hands out the same
-     * frame sequence) without the per-page table walks.
+     * [first, last) in one batch: equivalent to faulting each page on
+     * its own (the scattered pool hands out the same frame sequence)
+     * without the per-page table walks.
      *
      * Recoverable failures: Status::AccessFault for an unmapped or
      * CPU-inaccessible vpn (a real segfault), Status::OutOfMemory on
      * frame exhaustion (nothing is mapped in that case).
      */
     PopulateResult tryResolveCpuFaultRange(Vpn first, Vpn last);
-
-    /** Convenience form of tryResolveCpuFaultRange(); throws
-     *  StatusError. @return pages faulted in. */
-    std::uint64_t resolveCpuFaultRange(Vpn first, Vpn last);
 
     /**
      * Resolve a GPU fault batch on [first, first+count). Decides

@@ -1,6 +1,7 @@
 #include "vm/gpu_page_table.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 #include "common/units.hh"
@@ -67,24 +68,6 @@ GpuPageTable::removeRange(Vpn begin, Vpn end)
     return SystemPageTable::removeRange(begin, end, [](const PteRun &) {});
 }
 
-namespace {
-
-/** Trailing zero count, saturated for zero input. */
-unsigned
-tzCount(std::uint64_t x)
-{
-    if (x == 0)
-        return 63;
-    unsigned n = 0;
-    while ((x & 1) == 0) {
-        x >>= 1;
-        ++n;
-    }
-    return n;
-}
-
-} // namespace
-
 void
 GpuPageTable::recomputeFragments(Vpn begin, Vpn end)
 {
@@ -98,24 +81,32 @@ GpuPageTable::recomputeFragments(Vpn begin, Vpn end)
     // Greedily stamp each stretch with naturally-aligned power-of-two
     // blocks; stamps are page-absolute and RLE-compressed.
     std::vector<std::pair<Vpn, Stamp>> stamps;
+    auto add_stamp = [&](Vpn v, std::uint64_t len, unsigned frag) {
+        if (!stamps.empty() &&
+            stamps.back().second.frag == static_cast<std::uint8_t>(frag) &&
+            stamps.back().first + stamps.back().second.len == v) {
+            stamps.back().second.len += len;
+        } else {
+            stamps.push_back(
+                {v, Stamp{len, static_cast<std::uint8_t>(frag)}});
+        }
+    };
     auto stampStretch = [&](Vpn s, Vpn e, FrameId frame0) {
+        // A block aligned in both vpn and frame is aligned in their
+        // difference, so no page gets a fragment above its trailing
+        // zeros: an odd offset makes the whole stretch fragment 0.
+        if (std::countr_zero(frame0 - s) == 0) {
+            add_stamp(s, e - s, 0);
+            return;
+        }
         Vpn v = s;
         while (v < e) {
-            unsigned align =
-                std::min(tzCount(v), tzCount(frame0 + (v - s)));
-            unsigned len_log = floorLog2(e - v);
-            unsigned frag = std::min({align, len_log, kMaxFragment});
-            std::uint64_t block = 1ull << frag;
-            if (!stamps.empty() &&
-                stamps.back().second.frag ==
-                    static_cast<std::uint8_t>(frag) &&
-                stamps.back().first + stamps.back().second.len == v) {
-                stamps.back().second.len += block;
-            } else {
-                stamps.push_back(
-                    {v, Stamp{block, static_cast<std::uint8_t>(frag)}});
-            }
-            v += block;
+            unsigned align = static_cast<unsigned>(std::min(
+                std::countr_zero(v), std::countr_zero(frame0 + (v - s))));
+            unsigned frag =
+                std::min({align, floorLog2(e - v), kMaxFragment});
+            add_stamp(v, 1ull << frag, frag);
+            v += 1ull << frag;
         }
     };
 

@@ -242,8 +242,10 @@ TEST_P(AllocRoundTrip, AllocateFreeRestoresFrames)
     EXPECT_TRUE(static_cast<bool>(a));
     // CPU touch works for every allocator (Table 1: all CPU-accessible).
     vm::Vpn first = vm::vpnOf(a.addr);
-    if (!as.cpuPresent(a.addr))
-        as.resolveCpuFault(first);
+    if (!as.cpuPresent(a.addr)) {
+        EXPECT_EQ(as.tryResolveCpuFaultRange(first, first + 1).status,
+                  Status::Success);
+    }
     EXPECT_TRUE(as.cpuPresent(a.addr));
     registry.deallocate(a);
     EXPECT_FALSE(static_cast<bool>(a));

@@ -63,9 +63,11 @@ TEST(Units, PowerOfTwoHelpers)
     EXPECT_TRUE(isPow2(4096));
     EXPECT_FALSE(isPow2(0));
     EXPECT_FALSE(isPow2(3));
+    EXPECT_EQ(floorLog2(0), 0u);
     EXPECT_EQ(floorLog2(1), 0u);
     EXPECT_EQ(floorLog2(4096), 12u);
     EXPECT_EQ(floorLog2(4097), 12u);
+    EXPECT_EQ(floorLog2(~0ull), 63u);
     EXPECT_EQ(ceilLog2(4096), 12u);
     EXPECT_EQ(ceilLog2(4097), 13u);
 }

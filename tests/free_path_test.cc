@@ -143,16 +143,25 @@ TEST(FreePath, MunmapOfScatterVmaIsAuditNeutral)
         // A keeper VMA interleaves its first-touch frames with the
         // victim's, so the victim's frames are scattered and its
         // merged free intervals are short.
-        vm::VirtAddr keep = as.mmapAnon(4 * MiB, policy, "keep");
-        vm::VirtAddr victim = as.mmapAnon(12 * MiB, policy, "victim");
+        auto keep = as.tryMmapAnon(4 * MiB, policy, "keep");
+        auto victim = as.tryMmapAnon(12 * MiB, policy, "victim");
+        ASSERT_EQ(keep.status, Status::Success);
+        ASSERT_EQ(victim.status, Status::Success);
+        vm::Vpn keep0 = vm::vpnOf(keep.base);
+        vm::Vpn victim0 = vm::vpnOf(victim.base);
+        auto fault = [&as](vm::Vpn vpn) {
+            return as.tryResolveCpuFaultRange(vpn, vpn + 1).pages;
+        };
         for (std::uint64_t i = 0; i < 1024; ++i) {
-            as.resolveCpuFault(vm::vpnOf(victim) + 2 * i);
-            as.resolveCpuFault(vm::vpnOf(keep) + i);
-            as.resolveCpuFault(vm::vpnOf(victim) + 2 * i + 1);
+            ASSERT_EQ(fault(victim0 + 2 * i), 1u);
+            ASSERT_EQ(fault(keep0 + i), 1u);
+            ASSERT_EQ(fault(victim0 + 2 * i + 1), 1u);
         }
-        as.resolveCpuFaultRange(vm::vpnOf(victim) + 2048,
-                                vm::vpnOf(victim) + 2048 + 300);
-        EXPECT_EQ(as.munmap(victim), Status::Success);
+        EXPECT_EQ(as.tryResolveCpuFaultRange(victim0 + 2048,
+                                             victim0 + 2048 + 300)
+                      .pages,
+                  300u);
+        EXPECT_EQ(as.munmap(victim.base), Status::Success);
     };
     churn(plain.as);
     churn(audited.as);

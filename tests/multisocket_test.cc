@@ -413,20 +413,28 @@ TEST(Placement, SocketPolicyPinsEveryPageOwner)
         std::uint64_t bytes = 0;
         for (std::uint64_t step : c.steps)
             bytes += step;
-        vm::VirtAddr base = as.mmapAnon(bytes, policy, c.label);
+        auto mapped = as.tryMmapAnon(bytes, policy, c.label);
+        ASSERT_EQ(mapped.status, Status::Success);
+        vm::VirtAddr base = mapped.base;
 
         std::uint64_t offset = 0;
         for (std::uint64_t step : c.steps) {
             vm::Vpn first = vm::vpnOf(base + offset);
             std::uint64_t pages = step / mem::kPageSize;
             switch (c.path) {
-              case PlacePath::Populate:
-                EXPECT_EQ(as.populateRange(base + offset, step), pages);
+              case PlacePath::Populate: {
+                auto result = as.tryPopulateRange(base + offset, step);
+                EXPECT_EQ(result.status, Status::Success);
+                EXPECT_EQ(result.pages, pages);
                 break;
-              case PlacePath::CpuFault:
-                EXPECT_EQ(as.resolveCpuFaultRange(first, first + pages),
-                          pages);
+              }
+              case PlacePath::CpuFault: {
+                auto result = as.tryResolveCpuFaultRange(first,
+                                                         first + pages);
+                EXPECT_EQ(result.status, Status::Success);
+                EXPECT_EQ(result.pages, pages);
                 break;
+              }
               case PlacePath::GpuFault:
                 EXPECT_EQ(as.resolveGpuFault(first, pages),
                           vm::GpuFaultKind::Major);

@@ -185,7 +185,18 @@ class AddressSpaceTest : public ::testing::Test
         VmaPolicy policy;
         policy.onDemand = true;
         policy.placement = Placement::Scattered;
-        return as.mmapAnon(size, policy, "test");
+        auto mapped = as.tryMmapAnon(size, policy, "test");
+        EXPECT_EQ(mapped.status, Status::Success);
+        return mapped.base;
+    }
+
+    /** First-touch one page; @return pages newly faulted in. */
+    std::uint64_t
+    cpuFault(Vpn vpn)
+    {
+        auto result = as.tryResolveCpuFaultRange(vpn, vpn + 1);
+        EXPECT_EQ(result.status, Status::Success);
+        return result.pages;
     }
 
     mem::MemGeometry geom;
@@ -219,7 +230,7 @@ TEST_F(AddressSpaceTest, OnDemandHasNoFramesUntilFault)
 {
     VirtAddr base = mapOnDemand(64 * KiB);
     EXPECT_TRUE(as.framesOf(base, 64 * KiB).empty());
-    as.resolveCpuFault(vpnOf(base));
+    EXPECT_EQ(cpuFault(vpnOf(base)), 1u);
     EXPECT_EQ(as.framesOf(base, 64 * KiB).size(), 1u);
     EXPECT_EQ(as.cpuFaults(), 1u);
 }
@@ -227,14 +238,15 @@ TEST_F(AddressSpaceTest, OnDemandHasNoFramesUntilFault)
 TEST_F(AddressSpaceTest, CpuFaultIsIdempotent)
 {
     VirtAddr base = mapOnDemand(64 * KiB);
-    as.resolveCpuFault(vpnOf(base));
-    as.resolveCpuFault(vpnOf(base));
+    EXPECT_EQ(cpuFault(vpnOf(base)), 1u);
+    EXPECT_EQ(cpuFault(vpnOf(base)), 0u);
     EXPECT_EQ(as.cpuFaults(), 1u);
 }
 
 TEST_F(AddressSpaceTest, CpuFaultOutsideVmaIsSegfault)
 {
-    EXPECT_THROW(as.resolveCpuFault(1), SimError);
+    EXPECT_EQ(as.tryResolveCpuFaultRange(1, 2).status,
+              Status::AccessFault);
 }
 
 TEST_F(AddressSpaceTest, PopulateContiguousMapsBothTables)
@@ -244,8 +256,12 @@ TEST_F(AddressSpaceTest, PopulateContiguousMapsBothTables)
     policy.gpuMapped = true;
     policy.pinned = true;
     policy.placement = Placement::Contiguous;
-    VirtAddr base = as.mmapAnon(1 * MiB, policy, "hip");
-    EXPECT_EQ(as.populateRange(base, 1 * MiB), 256u);
+    auto mapped = as.tryMmapAnon(1 * MiB, policy, "hip");
+    ASSERT_EQ(mapped.status, Status::Success);
+    VirtAddr base = mapped.base;
+    auto populated = as.tryPopulateRange(base, 1 * MiB);
+    EXPECT_EQ(populated.status, Status::Success);
+    EXPECT_EQ(populated.pages, 256u);
     EXPECT_TRUE(as.cpuPresent(base));
     EXPECT_TRUE(as.gpuPresent(base));
     // Contiguous placement earns a large fragment.
@@ -274,7 +290,7 @@ TEST_F(AddressSpaceTest, GpuMinorFaultMirrorsExistingPages)
     VirtAddr base = mapOnDemand(64 * KiB);
     as.setXnack(true);
     for (Vpn vpn = vpnOf(base); vpn < vpnOf(base) + 16; ++vpn)
-        as.resolveCpuFault(vpn);
+        EXPECT_EQ(cpuFault(vpn), 1u);
     EXPECT_EQ(as.resolveGpuFault(vpnOf(base), 16), GpuFaultKind::Minor);
     EXPECT_EQ(as.gpuMinorFaults(), 16u);
     EXPECT_EQ(as.gpuMajorFaults(), 0u);
@@ -305,7 +321,7 @@ TEST_F(AddressSpaceTest, GpuMajorPlacementIsBalancedButFragmentFree)
 TEST_F(AddressSpaceTest, PinAndMapGpuKeepsScatteredPlacement)
 {
     VirtAddr base = mapOnDemand(1 * MiB);
-    as.resolveCpuFault(vpnOf(base));  // partial CPU history
+    EXPECT_EQ(cpuFault(vpnOf(base)), 1u);  // partial CPU history
     EXPECT_EQ(as.pinAndMapGpu(base), Status::Success);
     const Vma *vma = as.findVma(base);
     ASSERT_NE(vma, nullptr);
@@ -324,8 +340,10 @@ TEST_F(AddressSpaceTest, MunmapFreesEverything)
     policy.onDemand = false;
     policy.gpuMapped = true;
     policy.placement = Placement::Contiguous;
-    VirtAddr base = as.mmapAnon(2 * MiB, policy, "tmp");
-    as.populateRange(base, 2 * MiB);
+    auto mapped = as.tryMmapAnon(2 * MiB, policy, "tmp");
+    ASSERT_EQ(mapped.status, Status::Success);
+    VirtAddr base = mapped.base;
+    EXPECT_EQ(as.tryPopulateRange(base, 2 * MiB).status, Status::Success);
     std::uint64_t free_before = frames.freeFrames();
     EXPECT_EQ(as.munmap(base), Status::Success);
     EXPECT_EQ(frames.freeFrames(), free_before + 512);
@@ -337,7 +355,7 @@ TEST_F(AddressSpaceTest, MunmapFreesEverything)
 TEST_F(AddressSpaceTest, TranslatePreservesOffset)
 {
     VirtAddr base = mapOnDemand(64 * KiB);
-    as.resolveCpuFault(vpnOf(base));
+    EXPECT_EQ(cpuFault(vpnOf(base)), 1u);
     mem::PhysAddr pa = as.translate(base + 123);
     EXPECT_EQ(pa & (mem::kPageSize - 1), 123u);
     EXPECT_THROW(as.translate(base + 5 * mem::kPageSize), SimError);
@@ -347,7 +365,7 @@ TEST_F(AddressSpaceTest, ScatteredFractionTracksPlacementMix)
 {
     VirtAddr base = mapOnDemand(64 * KiB);
     as.setXnack(true);
-    as.resolveCpuFault(vpnOf(base));          // 1 scattered
+    EXPECT_EQ(cpuFault(vpnOf(base)), 1u);     // 1 scattered
     as.resolveGpuFault(vpnOf(base) + 1, 15);  // 15 batch-placed
     const Vma *vma = as.findVma(base);
     EXPECT_NEAR(vma->scatteredFraction(), 1.0 / 16.0, 1e-9);
@@ -361,9 +379,14 @@ TEST(HmmMirror, PropagatesOnlyPresentAndCountsWork)
     AddressSpace as(node, store);
     VmaPolicy policy;
     policy.onDemand = true;
-    VirtAddr base = as.mmapAnon(64 * KiB, policy, "hmm");
-    for (int i = 0; i < 8; i += 2)
-        as.resolveCpuFault(vpnOf(base) + i);
+    auto mapped = as.tryMmapAnon(64 * KiB, policy, "hmm");
+    ASSERT_EQ(mapped.status, Status::Success);
+    VirtAddr base = mapped.base;
+    for (int i = 0; i < 8; i += 2) {
+        Vpn vpn = vpnOf(base) + i;
+        EXPECT_EQ(as.tryResolveCpuFaultRange(vpn, vpn + 1).status,
+                  Status::Success);
+    }
 
     Vpn begin = vpnOf(base);
     EXPECT_EQ(as.mirror().mirrorRange(begin, begin + 8), 4u);
