@@ -210,20 +210,23 @@ main(int argc, char **argv)
 
     bench::JsonReporter json("oversubscription", opt.jsonPath);
 
-    // Phase 1: UPM survival matrix, one System per point.
+    // One pool sweep: the UVM baseline, one task per fraction, then
+    // the UPM survival matrix, one System per point.
+    const std::size_t n_uvm = fractions.size();
     const std::size_t n_upm = kNumConfigs * fractions.size();
+    std::vector<UvmPoint> uvm(n_uvm);
     std::vector<UpmPoint> upm(n_upm);
-    exec::globalPool().parallelFor(n_upm, [&](std::size_t t) {
+    exec::globalPool().parallelFor(n_uvm + n_upm, [&](std::size_t t) {
+        if (t < n_uvm) {
+            uvm[t] = runUvmPoint(fractions[t], capacity, opt.policyKind);
+            return;
+        }
+        t -= n_uvm;
         upm[t] = runUpmPoint(kConfigs[t / fractions.size()],
                              fractions[t % fractions.size()], capacity);
     });
-
-    // Phase 2: UVM baseline per fraction (cheap; serial).
     const std::string uvm_label =
         std::string("uvm-") + policy::evictionKindName(opt.policyKind);
-    std::vector<UvmPoint> uvm(fractions.size());
-    for (std::size_t i = 0; i < fractions.size(); ++i)
-        uvm[i] = runUvmPoint(fractions[i], capacity, opt.policyKind);
 
     int failures = 0;
     std::printf("UPM (capacity %s): structured OOM, no overcommit\n",

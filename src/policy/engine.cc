@@ -12,12 +12,6 @@ PolicyEngine::PolicyEngine(const PolicyConfig &config, const Hooks &hooks)
 
 PolicyEngine::~PolicyEngine() = default;
 
-std::unique_ptr<EvictionPolicy>
-PolicyEngine::makeEvictionPolicy() const
-{
-    return makeEviction(cfg.eviction, cfg.seed);
-}
-
 void
 PolicyEngine::noteEvicted(PageKey key, std::uint64_t residentAfter)
 {
@@ -33,6 +27,13 @@ void
 PolicyEngine::noteResident(PageKey key, Tier tier)
 {
     mig->onResident(key, tier);
+}
+
+void
+PolicyEngine::noteResidentRange(std::uint64_t space, std::uint64_t first,
+                                std::uint64_t n, Tier tier)
+{
+    mig->onResidentRange({space, first}, n, tier);
 }
 
 void

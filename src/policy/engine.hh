@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/hooks.hh"
-#include "policy/eviction.hh"
 #include "policy/migration.hh"
 #include "policy/policy.hh"
 
@@ -66,11 +65,6 @@ class PolicyEngine
 
     // ------------------------------------------------------- eviction
 
-    /** Build a victim-selection policy from this engine's config.
-     *  Each consuming simulator owns its own instance (victim state
-     *  is per-memory, not global). */
-    std::unique_ptr<EvictionPolicy> makeEvictionPolicy() const;
-
     /** Record an applied eviction: emits PolicyEvict, counts it, and
      *  drops the page from the migration counters if tracked. */
     void noteEvicted(PageKey key, std::uint64_t residentAfter);
@@ -84,6 +78,10 @@ class PolicyEngine
 
     /** @p key became resident in @p tier. */
     void noteResident(PageKey key, Tier tier);
+
+    /** Pages [first, first+n) of @p space became resident in @p tier. */
+    void noteResidentRange(std::uint64_t space, std::uint64_t first,
+                           std::uint64_t n, Tier tier);
 
     /** @p key left residency (free or legacy-path eviction already
      *  reported via noteEvicted). Unknown keys are ignored so callers

@@ -6,6 +6,14 @@
 
 namespace upm::policy {
 
+void
+MigrationPolicy::onResidentRange(PageKey first, std::uint64_t count,
+                                 Tier tier)
+{
+    for (std::uint64_t i = 0; i < count; ++i)
+        onResident({first.space, first.page + i}, tier);
+}
+
 HotColdMigration::Node *
 HotColdMigration::findLive(PageKey key)
 {
@@ -42,6 +50,19 @@ HotColdMigration::onResident(PageKey key, Tier tier)
     }
     if (tier == Tier::Fast)
         ++fastCount;
+}
+
+void
+HotColdMigration::onResidentRange(PageKey first, std::uint64_t count,
+                                  Tier tier)
+{
+    // One allocation each rather than a doubling series: a new managed
+    // region reports every page at once.
+    std::uint64_t want = nodes.size() + count;
+    if (want > nodes.capacity())
+        nodes.reserve(std::max<std::uint64_t>(want, 2 * nodes.capacity()));
+    index.reserve(index.size() + count, keyOf());
+    MigrationPolicy::onResidentRange(first, count, tier);
 }
 
 void

@@ -61,6 +61,10 @@ class MigrationPolicy
      *  it between tiers. */
     virtual void onResident(PageKey key, Tier tier) = 0;
 
+    /** onResident() for pages [first, first+count), in page order. */
+    virtual void onResidentRange(PageKey first, std::uint64_t count,
+                                 Tier tier);
+
     /** @p key left the memory system entirely (freed or evicted). */
     virtual void onRemove(PageKey key) = 0;
 
@@ -87,6 +91,7 @@ class NullMigration : public MigrationPolicy
 {
   public:
     void onResident(PageKey, Tier) override {}
+    void onResidentRange(PageKey, std::uint64_t, Tier) override {}
     void onRemove(PageKey) override {}
     void onAccess(PageKey, std::uint64_t) override {}
     std::vector<MigrationAction> decide(std::uint64_t) override
@@ -114,6 +119,9 @@ class HotColdMigration : public MigrationPolicy
     }
 
     void onResident(PageKey key, Tier tier) override;
+    /** Sizes the node vector and the index for the range first. */
+    void onResidentRange(PageKey first, std::uint64_t count,
+                         Tier tier) override;
     void onRemove(PageKey key) override;
     void onAccess(PageKey key, std::uint64_t tick) override;
     std::vector<MigrationAction> decide(std::uint64_t tick) override;

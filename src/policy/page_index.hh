@@ -1,7 +1,8 @@
 /**
  * @file
  * PageIndex: the flat PageKey -> node-id index every per-page policy
- * structure shares.
+ * structure shares; RunNodes: the ordered run table of the
+ * run-coalesced eviction policies.
  *
  * Open addressing with linear probing over a power-of-two slot array,
  * kept at most half full. A slot holds a 4-byte node id, never the
@@ -20,6 +21,7 @@
 #define UPM_POLICY_PAGE_INDEX_HH
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "policy/policy.hh"
@@ -52,9 +54,22 @@ class PageIndex
     insert(PageKey key, std::uint32_t id, const KeyOf &keyOf)
     {
         if (2 * (live + 1) > slots.size())
-            grow(keyOf);
+            rehash(slots.empty() ? kInitialSlots : 2 * slots.size(), keyOf);
         place(key, id);
         ++live;
+    }
+
+    /** Size the table for @p n entries in one step, so inserting up
+     *  to @p n never rehashes. */
+    template <typename KeyOf>
+    void
+    reserve(std::uint64_t n, const KeyOf &keyOf)
+    {
+        std::uint64_t size = slots.empty() ? kInitialSlots : slots.size();
+        while (2 * n > size)
+            size *= 2;
+        if (size != slots.size())
+            rehash(size, keyOf);
     }
 
     /** Drop node @p id, indexed under @p key. */
@@ -108,12 +123,12 @@ class PageIndex
         slots[i] = id;
     }
 
+    /** Move every entry into a fresh table of @p size slots. */
     template <typename KeyOf>
     void
-    grow(const KeyOf &keyOf)
+    rehash(std::uint64_t size, const KeyOf &keyOf)
     {
-        std::vector<std::uint32_t> old(
-            slots.empty() ? kInitialSlots : 2 * slots.size(), kNil);
+        std::vector<std::uint32_t> old(size, kNil);
         old.swap(slots);
         mask = slots.size() - 1;
         shift = 64;
@@ -134,7 +149,7 @@ class PageIndex
 };
 
 /**
- * Node storage for the eviction policies: nodes addressed by dense
+ * Per-page node storage (RandomEviction's): nodes addressed by dense
  * 4-byte ids, a PageIndex over them, and a free list so a removed
  * page's slot is reused by the next insert. @p Node must carry a
  * `PageKey key` member.
@@ -194,6 +209,121 @@ class PageNodes
     std::vector<Node> nodes;
     std::vector<std::uint32_t> freeIds;
     PageIndex index;
+};
+
+/**
+ * Node storage for run-coalesced policy state: one node per run of
+ * consecutive pages of one space, addressed by dense 4-byte ids, with
+ * an ordered index keyed by each run's end (its space and one past its
+ * last page). A hash index cannot say which run holds a page; the
+ * ordered one answers with one upper_bound. Keying by the end lets a
+ * run shed pages off its head -- the eviction path -- without touching
+ * the index. @p Node must carry `PageKey first` and
+ * `std::uint64_t count` members.
+ */
+template <typename Node>
+class RunNodes
+{
+  public:
+    /** Id of the first run of @p key's space that ends after @p key,
+     *  whether or not it holds @p key; kNil when there is none. */
+    std::uint32_t
+    firstEndingAfter(PageKey key) const
+    {
+        auto it = index.upper_bound(key);
+        if (it == index.end() || it->first.space != key.space)
+            return kNil;
+        return it->second;
+    }
+
+    /** Id of the run holding @p key, or kNil. */
+    std::uint32_t
+    find(PageKey key) const
+    {
+        std::uint32_t id = firstEndingAfter(key);
+        return id != kNil && nodes[id].first.page <= key.page ? id : kNil;
+    }
+
+    /** Id of the run whose last page is just below @p key, or kNil. */
+    std::uint32_t
+    endingAt(PageKey key) const
+    {
+        auto it = index.find(key);
+        return it == index.end() ? kNil : it->second;
+    }
+
+    /** Track pages [first, first+count), which must be untracked, in
+     *  a value-initialised node and return its id. */
+    std::uint32_t
+    add(PageKey first, std::uint64_t count)
+    {
+        std::uint32_t id;
+        if (freeIds.empty()) {
+            id = static_cast<std::uint32_t>(nodes.size());
+            nodes.emplace_back();
+        } else {
+            id = freeIds.back();
+            freeIds.pop_back();
+            nodes[id] = Node{};
+        }
+        nodes[id].first = first;
+        nodes[id].count = count;
+        index.emplace(PageKey{first.space, first.page + count}, id);
+        tracked += count;
+        return id;
+    }
+
+    /** Stop tracking run @p id; its node becomes reusable. */
+    void
+    drop(std::uint32_t id)
+    {
+        index.erase(endOf(id));
+        tracked -= nodes[id].count;
+        freeIds.push_back(id);
+    }
+
+    /** Drop the first @p n pages of run @p id, which keeps more. */
+    void
+    trimHead(std::uint32_t id, std::uint64_t n)
+    {
+        nodes[id].first.page += n;
+        nodes[id].count -= n;
+        tracked -= n;
+    }
+
+    /** Move the end of run @p id to @p page, growing or shrinking it
+     *  at the tail; the pages gained must be untracked. */
+    void
+    setEnd(std::uint32_t id, std::uint64_t page)
+    {
+        auto entry = index.extract(endOf(id));
+        entry.key().page = page;
+        index.insert(std::move(entry));
+        Node &n = nodes[id];
+        tracked = tracked - n.count + (page - n.first.page);
+        n.count = page - n.first.page;
+    }
+
+    Node &operator[](std::uint32_t id) { return nodes[id]; }
+    const Node &operator[](std::uint32_t id) const { return nodes[id]; }
+
+    /** Pages tracked across every run. */
+    std::uint64_t pages() const { return tracked; }
+    /** Runs tracked. */
+    std::uint64_t size() const { return index.size(); }
+
+  private:
+    PageKey
+    endOf(std::uint32_t id) const
+    {
+        return {nodes[id].first.space,
+                nodes[id].first.page + nodes[id].count};
+    }
+
+    std::vector<Node> nodes;
+    std::vector<std::uint32_t> freeIds;
+    std::map<PageKey, std::uint32_t> index;  //!< run end -> node id
+    std::uint64_t tracked = 0;
 };
 
 } // namespace upm::policy

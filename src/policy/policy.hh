@@ -72,6 +72,15 @@ struct PageKey
     auto operator<=>(const PageKey &) const = default;
 };
 
+/** Pages [first.page, first.page + count) of space first.space. */
+struct PageRun
+{
+    PageKey first;
+    std::uint64_t count = 0;
+
+    bool operator==(const PageRun &) const = default;
+};
+
 /** Tunables for the migration policies. */
 struct MigrationConfig
 {

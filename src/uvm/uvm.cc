@@ -1,5 +1,7 @@
 #include "uvm/uvm.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "mem/geometry.hh"
 #include "policy/engine.hh"
@@ -32,10 +34,8 @@ UvmSimulator::allocManaged(std::uint64_t bytes)
     region.pages = ceilDiv(bytes, mem::kPageSize);
     region.residency.assign(region.pages, Residency::Host);
     std::uint64_t handle = nextHandle++;
-    if (pol != nullptr) {
-        for (std::uint64_t p = 0; p < region.pages; ++p)
-            pol->noteResident({handle, p}, policy::Tier::Slow);
-    }
+    if (pol != nullptr)
+        pol->noteResidentRange(handle, 0, region.pages, policy::Tier::Slow);
     regions.emplace(handle, std::move(region));
     return handle;
 }
@@ -47,17 +47,42 @@ UvmSimulator::freeManaged(std::uint64_t handle)
     if (it == regions.end())
         panic("free of unknown managed region %llu",
               static_cast<unsigned long long>(handle));
-    for (std::uint64_t p = 0; p < it->second.pages; ++p) {
-        auto key = policy::PageKey{handle, p};
-        if (it->second.residency[p] == Residency::Device) {
-            if (victims->contains(key))
-                victims->remove(key);
-            --residentPages;
+    const Region &region = it->second;
+    for (std::uint64_t p = 0; p < region.pages;) {
+        std::uint64_t q = spanEnd(region, p, region.pages);
+        if (region.residency[p] == Residency::Device) {
+            victims->removeRun({handle, p}, q - p);
+            residentPages -= q - p;
         }
-        if (pol != nullptr)
-            pol->noteRemoved(key);
+        p = q;
+    }
+    if (pol != nullptr) {
+        for (std::uint64_t p = 0; p < region.pages; ++p)
+            pol->noteRemoved({handle, p});
     }
     regions.erase(it);
+}
+
+std::uint64_t
+UvmSimulator::spanEnd(const Region &region, std::uint64_t page,
+                      std::uint64_t last)
+{
+    auto begin = region.residency.begin();
+    Residency other = region.residency[page] == Residency::Device
+                          ? Residency::Host
+                          : Residency::Device;
+    return static_cast<std::uint64_t>(
+        std::find(begin + static_cast<std::ptrdiff_t>(page),
+                  begin + static_cast<std::ptrdiff_t>(last), other) -
+        begin);
+}
+
+void
+UvmSimulator::setResidency(Region &region, std::uint64_t first,
+                           std::uint64_t count, Residency to)
+{
+    auto at = region.residency.begin() + static_cast<std::ptrdiff_t>(first);
+    std::fill(at, at + static_cast<std::ptrdiff_t>(count), to);
 }
 
 std::uint64_t
@@ -82,46 +107,60 @@ UvmSimulator::migrationTime(std::uint64_t pages) const
 }
 
 void
-UvmSimulator::evictOne()
+UvmSimulator::pageInToDevice(Region &region, std::uint64_t handle,
+                             std::uint64_t first, std::uint64_t count)
 {
-    if (victims->size() == 0)
-        panic("UVM eviction with empty device memory");
-    policy::PageKey victim = victims->evict();
-    auto it = regions.find(victim.space);
-    if (it != regions.end())
-        it->second.residency[victim.page] = Residency::Host;
-    --residentPages;
-    ++toHost;
-    ++evicted;
-    if (pol != nullptr) {
-        pol->noteEvicted(victim, residentPages);
-        // The page is still allocated, just host-resident again.
-        pol->noteResident(victim, policy::Tier::Slow);
+    setResidency(region, first, count, Residency::Device);
+    const std::uint64_t room = capacityPages - residentPages;
+    evictedRuns.clear();
+    victims->admitRun({handle, first}, count, tick, room, evictedRuns);
+    std::uint64_t evictedPages = 0;
+    for (const policy::PageRun &run : evictedRuns) {
+        auto it = regions.find(run.first.space);
+        if (it != regions.end())
+            setResidency(it->second, run.first.page, run.count,
+                         Residency::Host);
+        evictedPages += run.count;
+    }
+    residentPages = residentPages + count - evictedPages;
+    toDevice += count;
+    toHost += evictedPages;
+    evicted += evictedPages;
+    if (pol == nullptr)
+        return;
+    // Report in page-fault order: once the room is used up, each page
+    // in turn evicts one victim (leaving the device one page short of
+    // full) before it becomes resident.
+    auto run = evictedRuns.begin();
+    std::uint64_t taken = 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        if (i >= room) {
+            policy::PageKey victim{run->first.space,
+                                   run->first.page + taken};
+            if (++taken == run->count) {
+                ++run;
+                taken = 0;
+            }
+            pol->noteEvicted(victim, capacityPages - 1);
+            // The page is still allocated, just host-resident again.
+            pol->noteResident(victim, policy::Tier::Slow);
+        }
+        pol->noteResident({handle, first + i}, policy::Tier::Fast);
     }
 }
 
 void
-UvmSimulator::pageInToDevice(std::uint64_t handle, std::uint64_t page)
+UvmSimulator::pageOutToHost(Region &region, std::uint64_t handle,
+                            std::uint64_t first, std::uint64_t count)
 {
-    while (residentPages >= capacityPages)
-        evictOne();
-    auto key = policy::PageKey{handle, page};
-    victims->insert(key, tick);
-    ++residentPages;
-    ++toDevice;
-    if (pol != nullptr)
-        pol->noteResident(key, policy::Tier::Fast);
-}
-
-void
-UvmSimulator::pageOutToHost(Region &region, policy::PageKey key)
-{
-    region.residency[key.page] = Residency::Host;
-    victims->remove(key);
-    --residentPages;
-    ++toHost;
-    if (pol != nullptr)
-        pol->noteResident(key, policy::Tier::Slow);
+    setResidency(region, first, count, Residency::Host);
+    victims->removeRun({handle, first}, count);
+    residentPages -= count;
+    toHost += count;
+    if (pol != nullptr) {
+        for (std::uint64_t p = first; p < first + count; ++p)
+            pol->noteResident({handle, p}, policy::Tier::Slow);
+    }
 }
 
 SimTime
@@ -141,14 +180,15 @@ UvmSimulator::gpuAccess(std::uint64_t handle, std::uint64_t offset,
     if (pol != nullptr)
         pol->advanceTick();
     std::uint64_t faulted = 0;
-    for (std::uint64_t p = first; p < last; ++p) {
+    for (std::uint64_t p = first; p < last;) {
+        std::uint64_t q = spanEnd(region, p, last);
         if (region.residency[p] == Residency::Device) {
-            victims->touch({handle, p}, tick);
+            victims->touchRun({handle, p}, q - p, tick);
         } else {
-            region.residency[p] = Residency::Device;
-            pageInToDevice(handle, p);
-            ++faulted;
+            pageInToDevice(region, handle, p, q - p);
+            faulted += q - p;
         }
+        p = q;
     }
     if (pol != nullptr)
         pol->noteAccessRange(handle, first, last - first);
@@ -173,11 +213,13 @@ UvmSimulator::cpuAccess(std::uint64_t handle, std::uint64_t offset,
     if (pol != nullptr)
         pol->advanceTick();
     std::uint64_t migrated = 0;
-    for (std::uint64_t p = first; p < last; ++p) {
+    for (std::uint64_t p = first; p < last;) {
+        std::uint64_t q = spanEnd(region, p, last);
         if (region.residency[p] == Residency::Device) {
-            pageOutToHost(region, {handle, p});
-            ++migrated;
+            pageOutToHost(region, handle, p, q - p);
+            migrated += q - p;
         }
+        p = q;
     }
     if (pol != nullptr)
         pol->noteAccessRange(handle, first, last - first);

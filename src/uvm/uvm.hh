@@ -22,6 +22,14 @@
  * optional policy::PolicyEngine (`pol`, null-checked like every other
  * hook) observes the access stream and can drive hot/cold migration
  * between host and device via migrationStep().
+ *
+ * Each access walks its range in spans of equal residency, decided
+ * from the residency at the span's start (an eviction for an earlier
+ * span can send a later one's pages back to the host). A resident
+ * span is one touchRun; a host span is one admitRun, which evicts and
+ * inserts exactly as page-by-page faults would. Residency itself is
+ * still one byte per page, in Region::residency beside the policy's
+ * run-coalesced state.
  */
 
 #ifndef UPM_UVM_UVM_HH
@@ -149,15 +157,23 @@ class UvmSimulator
     /** One past the last page of [offset, offset+bytes); a zero-byte
      *  range ends where it starts. */
     static std::uint64_t pageEnd(std::uint64_t offset, std::uint64_t bytes);
+    static void setResidency(Region &region, std::uint64_t first,
+                             std::uint64_t count, Residency to);
+    /** One past the last page of the span from @p page, ending by
+     *  @p last, whose pages all share page @p page's residency. */
+    static std::uint64_t spanEnd(const Region &region, std::uint64_t page,
+                                 std::uint64_t last);
     /** Migration cost of @p pages pages (batched faults + link). */
     SimTime migrationTime(std::uint64_t pages) const;
-    /** Evict the policy's victim (a page must be resident). */
-    void evictOne();
-    /** Move a page to the device, evicting if needed. */
-    void pageInToDevice(std::uint64_t handle, std::uint64_t page);
-    /** Device -> host for one resident page (shared by cpuAccess and
-     *  demotion). */
-    void pageOutToHost(Region &region, policy::PageKey key);
+    /** Move host-resident pages [first, first+count) of @p handle to
+     *  the device, each evicting a victim first when the device is
+     *  full. */
+    void pageInToDevice(Region &region, std::uint64_t handle,
+                        std::uint64_t first, std::uint64_t count);
+    /** Device -> host for device-resident pages [first, first+count)
+     *  of @p handle. */
+    void pageOutToHost(Region &region, std::uint64_t handle,
+                       std::uint64_t first, std::uint64_t count);
 
     UvmCosts cost;
     std::uint64_t capacityPages;
@@ -169,6 +185,8 @@ class UvmSimulator
     /** Victim selection over device-resident pages, keyed
      *  {handle, page}. */
     std::unique_ptr<policy::EvictionPolicy> victims;
+    /** Scratch for the victims of one admitRun. */
+    std::vector<policy::PageRun> evictedRuns;
     /** Logical clock: one tick per gpuAccess / cpuAccess call, so all
      *  pages touched by one call share a stamp (the LRU-list
      *  equivalence depends on this). */

@@ -93,21 +93,34 @@ GpuPageTable::recomputeFragments(Vpn begin, Vpn end)
     };
     auto stampStretch = [&](Vpn s, Vpn e, FrameId frame0) {
         // A block aligned in both vpn and frame is aligned in their
-        // difference, so no page gets a fragment above its trailing
+        // difference, so no page gets a fragment above k, its trailing
         // zeros: an odd offset makes the whole stretch fragment 0.
-        if (std::countr_zero(frame0 - s) == 0) {
+        unsigned k = std::min(
+            static_cast<unsigned>(std::countr_zero(frame0 - s)),
+            kMaxFragment);
+        if (k == 0) {
             add_stamp(s, e - s, 0);
             return;
         }
-        Vpn v = s;
-        while (v < e) {
-            unsigned align = static_cast<unsigned>(std::min(
-                std::countr_zero(v), std::countr_zero(frame0 + (v - s))));
+        auto block = [&](Vpn v) {
             unsigned frag =
-                std::min({align, floorLog2(e - v), kMaxFragment});
+                std::min({static_cast<unsigned>(std::countr_zero(v)), k,
+                          floorLog2(e - v)});
             add_stamp(v, 1ull << frag, frag);
-            v += 1ull << frag;
+            return v + (1ull << frag);
+        };
+        // Greedy blocks up to 2^k alignment; from there every block is
+        // a whole 2^k one until the tail, so stamp that middle at once.
+        Vpn v = s;
+        while (v < e && static_cast<unsigned>(std::countr_zero(v)) < k)
+            v = block(v);
+        std::uint64_t middle = ((e - v) >> k) << k;
+        if (middle != 0) {
+            add_stamp(v, middle, k);
+            v += middle;
         }
+        while (v < e)
+            v = block(v);
     };
 
     bool open = false;

@@ -44,9 +44,11 @@
 #include "common/units.hh"
 #include "exec/task_pool.hh"
 #include "mem/geometry.hh"
+#include "policy/engine.hh"
 #include "policy/eviction.hh"
 #include "policy/migration.hh"
 #include "policy/page_index.hh"
+#include "trace/tracer.hh"
 #include "uvm/uvm.hh"
 
 namespace upm::policy {
@@ -192,7 +194,101 @@ struct StreamShape
      *  phaseOps ops between growing the tracked set (mostly inserts)
      *  and draining it (mostly evictions and removals). */
     int phaseOps = 0;
+    /** Percent of ops that are run forms over 1-64 pages (insertRun,
+     *  touchRun, removeRun, admitRun). 0 keeps the single-page stream
+     *  exactly as it was. */
+    std::uint64_t runOps = 0;
 };
+
+/** Pages from @p start, up to @p len of them, whose tracked state is
+ *  @p tracked_wanted: the stretch a run op may name. */
+std::uint64_t
+stretch(const std::set<PageKey> &tracked, PageKey start, std::uint64_t len,
+        std::uint64_t pages, bool tracked_wanted)
+{
+    std::uint64_t n = 0;
+    while (n < len && start.page + n < pages &&
+           (tracked.count({start.space, start.page + n}) != 0) ==
+               tracked_wanted)
+        ++n;
+    return n;
+}
+
+/** One run op of differentialRun: the real policy takes the run form,
+ *  the reference the same pages one at a time. */
+void
+runOp(EvictionPolicy &real, ReferenceModel &ref, SplitMix64 &ops,
+      std::set<PageKey> &tracked, std::uint64_t &tick,
+      const StreamShape &shape, bool draining, std::uint64_t &evictions)
+{
+    std::uint64_t len = 1 + ops.nextBelow(64);
+    // 0 insertRun, 1 admitRun, 2 touchRun, 3 removeRun; a draining
+    // phase only removes.
+    std::uint64_t roll = draining ? 3 : ops.nextBelow(4);
+    if (roll >= 2 && !tracked.empty()) {
+        // touchRun / removeRun from a tracked page, so the span
+        // straddles whatever runs cover the pages after it.
+        auto it = tracked.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             ops.nextBelow(tracked.size())));
+        PageKey first = *it;
+        std::uint64_t n = stretch(tracked, first, len, shape.pages, true);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            PageKey key{first.space, first.page + i};
+            if (roll == 2) {
+                ref.touch(key, tick);
+            } else {
+                ref.remove(key);
+                tracked.erase(key);
+            }
+        }
+        if (roll == 2)
+            real.touchRun(first, n, tick);
+        else
+            real.removeRun(first, n);
+        return;
+    }
+    PageKey first{1 + ops.next() % shape.spaces, ops.next() % shape.pages};
+    std::uint64_t n = stretch(tracked, first, len, shape.pages, false);
+    if (n == 0)
+        return;
+    if (roll == 0) {
+        real.insertRun(first, n, tick);
+        for (std::uint64_t i = 0; i < n; ++i)
+            ref.insert({first.space, first.page + i}, tick);
+    } else {
+        // admitRun at a fresh tick: page i evicts first once the room
+        // is used up. With nothing tracked the first page needs room.
+        ++tick;
+        std::uint64_t room = ops.nextBelow(n + 1);
+        if (room == 0 && tracked.empty())
+            room = 1;
+        std::vector<PageRun> got;
+        real.admitRun(first, n, tick, room, got);
+        std::vector<PageKey> want;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            if (room == 0)
+                want.push_back(ref.evict());
+            else
+                --room;
+            ref.insert({first.space, first.page + i}, tick);
+        }
+        std::vector<PageKey> flat;
+        for (const PageRun &run : got) {
+            for (std::uint64_t i = 0; i < run.count; ++i)
+                flat.push_back({run.first.space, run.first.page + i});
+        }
+        ASSERT_EQ(flat, want) << evictionKindName(real.kind());
+        evictions += want.size();
+        for (std::uint64_t i = 0; i < n; ++i)
+            tracked.insert({first.space, first.page + i});
+        for (PageKey victim : want)
+            tracked.erase(victim);
+        return;
+    }
+    for (std::uint64_t i = 0; i < n; ++i)
+        tracked.insert({first.space, first.page + i});
+}
 
 /** Drive the real policy and the reference through one identical
  *  seeded op stream; every victim must match. */
@@ -219,6 +315,17 @@ differentialRun(EvictionKind kind, std::uint64_t seed,
     };
 
     for (int op = 0; op < shape.ops; ++op) {
+        if (shape.runOps != 0 && ops.next() % 100 < shape.runOps) {
+            tick += ops.next() % 2;
+            bool draining =
+                shape.phaseOps != 0 && (op / shape.phaseOps) % 2 == 1;
+            runOp(*real, ref, ops, tracked, tick, shape, draining,
+                  evictions);
+            if (::testing::Test::HasFatalFailure())
+                return;
+            ASSERT_EQ(real->size(), ref.size());
+            continue;
+        }
         // Cumulative thresholds: insert-or-touch, remove, then evict
         // below 85; the rest touch a tracked page.
         std::uint64_t insert_below = 45, remove_below = 60;
@@ -293,6 +400,30 @@ TEST(PolicyDiff, EveryKindMatchesReferenceOnLargeKeyUniverse)
          {EvictionKind::Lru, EvictionKind::Lfu, EvictionKind::Random,
           EvictionKind::Predictive})
         differentialRun(kind, exec::taskSeed(0x1a59e'5eedull, 0), large);
+}
+
+TEST(PolicyDiff, RunFormsMatchPerPageReferenceAcross16Seeds)
+{
+    // A third of the ops are run forms of 1-64 pages: spans straddle
+    // the runs earlier ops left, split them and merge the pieces.
+    StreamShape shape;
+    shape.runOps = 35;
+    for (EvictionKind kind :
+         {EvictionKind::Lru, EvictionKind::Lfu, EvictionKind::Random,
+          EvictionKind::Predictive}) {
+        for (std::uint64_t s = 0; s < 16; ++s)
+            differentialRun(kind, exec::taskSeed(0x2a45'5eedull, s), shape);
+    }
+}
+
+TEST(PolicyDiff, RunFormsMatchPerPageReferenceOnLargeKeyUniverse)
+{
+    StreamShape large{4, 4096, 20000, 5000};
+    large.runOps = 4;
+    for (EvictionKind kind :
+         {EvictionKind::Lru, EvictionKind::Lfu, EvictionKind::Random,
+          EvictionKind::Predictive})
+        differentialRun(kind, exec::taskSeed(0x2a45e'5eedull, 0), large);
 }
 
 TEST(PolicyDiff, PageIndexMatchesMapUnderSmallTableChurn)
@@ -597,6 +728,495 @@ TEST(PolicyDiff, LruMatchesRetiredListUnderMixedWindowedTraffic)
                           old.gpuAccess(ho, off, bytes));
             }
             expectSameCounters(now, old);
+        }
+    }
+}
+
+// ---- Oracle 4: the per-page UvmSimulator over the reference model ------
+
+/**
+ * UvmSimulator as it stood before it walked accesses in spans: one
+ * policy call per page, each fault evicting one victim first while the
+ * device is full. Victims come from the slow ReferenceModel, and a
+ * wired PolicyEngine hears every note in that per-page order.
+ */
+class PerPageUvm
+{
+  public:
+    PerPageUvm(std::uint64_t device_memory_bytes, EvictionKind kind,
+               std::uint64_t seed, PolicyEngine *engine)
+        : capacityPages(device_memory_bytes / mem::kPageSize),
+          victims(kind, seed), pol(engine)
+    {
+    }
+
+    std::uint64_t
+    allocManaged(std::uint64_t bytes)
+    {
+        Region region;
+        region.pages = ceilDiv(bytes, mem::kPageSize);
+        region.residency.assign(region.pages, false);
+        std::uint64_t handle = nextHandle++;
+        if (pol != nullptr) {
+            for (std::uint64_t p = 0; p < region.pages; ++p)
+                pol->noteResident({handle, p}, Tier::Slow);
+        }
+        regions.emplace(handle, std::move(region));
+        return handle;
+    }
+
+    void
+    freeManaged(std::uint64_t handle)
+    {
+        Region &region = regions.at(handle);
+        for (std::uint64_t p = 0; p < region.pages; ++p) {
+            PageKey key{handle, p};
+            if (region.residency[p]) {
+                victims.remove(key);
+                --residentPages;
+            }
+            if (pol != nullptr)
+                pol->noteRemoved(key);
+        }
+        regions.erase(handle);
+    }
+
+    SimTime
+    gpuAccess(std::uint64_t handle, std::uint64_t offset,
+              std::uint64_t bytes)
+    {
+        Region &region = regions.at(handle);
+        std::uint64_t first = offset / mem::kPageSize;
+        std::uint64_t last = pageEnd(offset, bytes);
+        ++tick;
+        if (pol != nullptr)
+            pol->advanceTick();
+        std::uint64_t faulted = 0;
+        for (std::uint64_t p = first; p < last; ++p) {
+            if (region.residency[p]) {
+                victims.touch({handle, p}, tick);
+                continue;
+            }
+            region.residency[p] = true;
+            while (residentPages >= capacityPages)
+                evictOne();
+            victims.insert({handle, p}, tick);
+            ++residentPages;
+            ++toDevice;
+            if (pol != nullptr)
+                pol->noteResident({handle, p}, Tier::Fast);
+            ++faulted;
+        }
+        if (pol != nullptr)
+            pol->noteAccessRange(handle, first, last - first);
+        return migrationTime(faulted) +
+               static_cast<double>(bytes) / cost.deviceBandwidth;
+    }
+
+    SimTime
+    cpuAccess(std::uint64_t handle, std::uint64_t offset,
+              std::uint64_t bytes)
+    {
+        Region &region = regions.at(handle);
+        std::uint64_t first = offset / mem::kPageSize;
+        std::uint64_t last = pageEnd(offset, bytes);
+        ++tick;
+        if (pol != nullptr)
+            pol->advanceTick();
+        std::uint64_t migrated = 0;
+        for (std::uint64_t p = first; p < last; ++p) {
+            if (!region.residency[p])
+                continue;
+            region.residency[p] = false;
+            victims.remove({handle, p});
+            --residentPages;
+            ++toHost;
+            if (pol != nullptr)
+                pol->noteResident({handle, p}, Tier::Slow);
+            ++migrated;
+        }
+        if (pol != nullptr)
+            pol->noteAccessRange(handle, first, last - first);
+        return migrationTime(migrated) +
+               static_cast<double>(bytes) / cost.hostBandwidth;
+    }
+
+    SimTime
+    migrationStep()
+    {
+        if (pol == nullptr)
+            return 0.0;
+        if (!pol->migrates())
+            return 0.0;
+        std::uint64_t moved = 0;
+        for (const auto &action : pol->migrationStep()) {
+            auto it = regions.find(action.key.space);
+            if (it == regions.end() || action.key.page >= it->second.pages)
+                continue;
+            bool resident = it->second.residency[action.key.page];
+            if (action.to == Tier::Fast) {
+                if (resident || residentPages >= capacityPages)
+                    continue;
+                it->second.residency[action.key.page] = true;
+                victims.insert(action.key, tick);
+                ++residentPages;
+                ++toDevice;
+            } else {
+                if (!resident)
+                    continue;
+                it->second.residency[action.key.page] = false;
+                victims.remove(action.key);
+                --residentPages;
+                ++toHost;
+            }
+            pol->noteMigrated(action.key, action.to);
+            ++moved;
+        }
+        return migrationTime(moved);
+    }
+
+    std::uint64_t deviceResidentPages() const { return residentPages; }
+    std::uint64_t pagesMigratedToDevice() const { return toDevice; }
+    std::uint64_t pagesMigratedToHost() const { return toHost; }
+    std::uint64_t evictions() const { return evicted; }
+
+  private:
+    struct Region
+    {
+        std::uint64_t pages = 0;
+        std::vector<bool> residency;  //!< true = device
+    };
+
+    static std::uint64_t
+    pageEnd(std::uint64_t offset, std::uint64_t bytes)
+    {
+        if (bytes == 0)
+            return offset / mem::kPageSize;
+        return ceilDiv(offset + bytes, mem::kPageSize);
+    }
+
+    SimTime
+    migrationTime(std::uint64_t pages) const
+    {
+        if (pages == 0)
+            return 0.0;
+        std::uint64_t batches = ceilDiv(pages, cost.faultBatchPages);
+        return static_cast<double>(batches) * cost.faultBatchOverhead +
+               static_cast<double>(pages) * cost.perPageOverhead +
+               static_cast<double>(pages * mem::kPageSize) /
+                   cost.linkBandwidth;
+    }
+
+    void
+    evictOne()
+    {
+        PageKey victim = victims.evict();
+        auto it = regions.find(victim.space);
+        if (it != regions.end())
+            it->second.residency[victim.page] = false;
+        --residentPages;
+        ++toHost;
+        ++evicted;
+        if (pol != nullptr) {
+            pol->noteEvicted(victim, residentPages);
+            pol->noteResident(victim, Tier::Slow);
+        }
+    }
+
+    uvm::UvmCosts cost;
+    std::uint64_t capacityPages;
+    std::uint64_t residentPages = 0;
+    std::map<std::uint64_t, Region> regions;
+    std::uint64_t nextHandle = 1;
+    ReferenceModel victims;
+    std::uint64_t tick = 0;
+    PolicyEngine *pol;
+    std::uint64_t toDevice = 0;
+    std::uint64_t toHost = 0;
+    std::uint64_t evicted = 0;
+};
+
+/**
+ * A UvmSimulator and its per-page oracle driven in lockstep: every
+ * call's SimTime and every counter after it must match exactly. With
+ * a migration config, each side gets its own traced PolicyEngine and
+ * the engines must agree too -- trace events in order, with their
+ * residentAfter values, stats and tier counts.
+ */
+class UvmLockstep
+{
+  public:
+    static constexpr std::uint64_t kPage = mem::kPageSize;
+
+    UvmLockstep(std::uint64_t device_pages, EvictionKind kind,
+                const PolicyConfig *engine = nullptr)
+        : tracerNow(traceOn()), tracerRef(traceOn())
+    {
+        constexpr std::uint64_t kSeed = 0x5eed'0u;
+        if (engine != nullptr) {
+            engineNow = std::make_unique<PolicyEngine>(
+                *engine, Hooks{.tr = &tracerNow});
+            engineRef = std::make_unique<PolicyEngine>(
+                *engine, Hooks{.tr = &tracerRef});
+        }
+        now = std::make_unique<uvm::UvmSimulator>(device_pages * kPage,
+                                                  kind, kSeed);
+        now->setPolicyEngine(engineNow.get());
+        ref = std::make_unique<PerPageUvm>(device_pages * kPage, kind,
+                                           kSeed, engineRef.get());
+    }
+
+    std::uint64_t
+    alloc(std::uint64_t bytes)
+    {
+        std::uint64_t h = now->allocManaged(bytes);
+        EXPECT_EQ(h, ref->allocManaged(bytes));
+        return h;
+    }
+
+    void
+    gpu(std::uint64_t h, std::uint64_t off, std::uint64_t bytes)
+    {
+        ASSERT_EQ(now->gpuAccess(h, off, bytes),
+                  ref->gpuAccess(h, off, bytes))
+            << "gpu " << off << "+" << bytes;
+        check();
+    }
+
+    void
+    cpu(std::uint64_t h, std::uint64_t off, std::uint64_t bytes)
+    {
+        ASSERT_EQ(now->cpuAccess(h, off, bytes),
+                  ref->cpuAccess(h, off, bytes))
+            << "cpu " << off << "+" << bytes;
+        check();
+    }
+
+    void
+    free(std::uint64_t h)
+    {
+        now->freeManaged(h);
+        ref->freeManaged(h);
+        check();
+    }
+
+    void
+    migrate()
+    {
+        ASSERT_EQ(now->migrationStep(), ref->migrationStep());
+        check();
+    }
+
+    void
+    check()
+    {
+        ASSERT_EQ(now->deviceResidentPages(), ref->deviceResidentPages());
+        ASSERT_EQ(now->pagesMigratedToDevice(),
+                  ref->pagesMigratedToDevice());
+        ASSERT_EQ(now->pagesMigratedToHost(), ref->pagesMigratedToHost());
+        ASSERT_EQ(now->evictions(), ref->evictions());
+    }
+
+    /** Engine agreement, once the stream is done. */
+    void
+    checkEngines()
+    {
+        if (engineNow == nullptr)
+            return;
+        const PolicyStats &a = engineNow->stats();
+        const PolicyStats &b = engineRef->stats();
+        EXPECT_EQ(a.promotions, b.promotions);
+        EXPECT_EQ(a.demotions, b.demotions);
+        EXPECT_EQ(a.evictions, b.evictions);
+        EXPECT_EQ(a.accesses, b.accesses);
+        EXPECT_EQ(a.migrationSteps, b.migrationSteps);
+        for (Tier tier : {Tier::Fast, Tier::Slow})
+            EXPECT_EQ(engineNow->residentIn(tier),
+                      engineRef->residentIn(tier));
+        const auto events = tracerNow.events();
+        EXPECT_EQ(events, tracerRef.events());
+        EXPECT_FALSE(events.empty());
+    }
+
+    std::uint64_t evictions() const { return now->evictions(); }
+
+  private:
+    static trace::TraceConfig
+    traceOn()
+    {
+        trace::TraceConfig cfg;
+        cfg.enabled = true;
+        return cfg;
+    }
+
+    trace::Tracer tracerNow;
+    trace::Tracer tracerRef;
+    std::unique_ptr<PolicyEngine> engineNow;
+    std::unique_ptr<PolicyEngine> engineRef;
+    std::unique_ptr<uvm::UvmSimulator> now;
+    std::unique_ptr<PerPageUvm> ref;
+};
+
+constexpr EvictionKind kEveryKind[] = {
+    EvictionKind::Lru, EvictionKind::Lfu, EvictionKind::Random,
+    EvictionKind::Predictive};
+
+/** Device memory of the lockstep scenarios, in pages: small enough
+ *  for the reference model's linear scans. */
+constexpr std::uint64_t kDevicePages = 48;
+
+TEST(UvmOracle, StreamHotColdAndPingPongMatchPerPageUvm)
+{
+    constexpr std::uint64_t kPage = UvmLockstep::kPage;
+    for (EvictionKind kind : kEveryKind) {
+        SCOPED_TRACE(evictionKindName(kind));
+        {
+            // Windowed passes over 1.5x device memory; ws/16 is not a
+            // page multiple, so windows share their edge pages.
+            UvmLockstep s(kDevicePages, kind);
+            const std::uint64_t ws = kDevicePages * kPage * 3 / 2;
+            std::uint64_t h = s.alloc(ws);
+            const std::uint64_t window = ws / 16;
+            for (unsigned pass = 0; pass < 4; ++pass) {
+                for (std::uint64_t off = 0; off < ws; off += window)
+                    ASSERT_NO_FATAL_FAILURE(
+                        s.gpu(h, off, std::min(window, ws - off)));
+            }
+            EXPECT_GT(s.evictions(), 0u);
+        }
+        {
+            // A hot quarter touched 4x per iteration plus windowed
+            // scans of the cold rest, at 1.25x.
+            UvmLockstep s(kDevicePages, kind);
+            const std::uint64_t ws = kDevicePages * kPage * 5 / 4;
+            const std::uint64_t hot = ws / 4;
+            const std::uint64_t hot_at = 7 * kPage;
+            std::uint64_t h = s.alloc(ws);
+            const std::uint64_t window = (ws - hot) / 8;
+            auto scan = [&](std::uint64_t lo, std::uint64_t hi) {
+                for (std::uint64_t off = lo; off < hi; off += window)
+                    s.gpu(h, off, std::min(window, hi - off));
+            };
+            for (unsigned iter = 0; iter < 6; ++iter) {
+                for (unsigned k = 0; k < 4; ++k)
+                    ASSERT_NO_FATAL_FAILURE(s.gpu(h, hot_at, hot));
+                ASSERT_NO_FATAL_FAILURE(scan(0, hot_at));
+                ASSERT_NO_FATAL_FAILURE(scan(hot_at + hot, ws));
+            }
+            EXPECT_GT(s.evictions(), 0u);
+        }
+        {
+            // GPU/CPU alternation on a half-capacity slice.
+            UvmLockstep s(kDevicePages, kind);
+            const std::uint64_t slice = kDevicePages * kPage / 2;
+            std::uint64_t h = s.alloc(kDevicePages * kPage * 5 / 4);
+            for (unsigned iter = 0; iter < 8; ++iter) {
+                ASSERT_NO_FATAL_FAILURE(s.gpu(h, 0, slice));
+                ASSERT_NO_FATAL_FAILURE(s.cpu(h, 0, slice));
+            }
+        }
+    }
+}
+
+/** Seeded GPU/CPU windows over two regions, byte-granular edges, with
+ *  an occasional migration step when an engine is wired. */
+void
+mixedWindows(UvmLockstep &s, std::uint64_t seed, bool migrate)
+{
+    constexpr std::uint64_t kPage = UvmLockstep::kPage;
+    const std::uint64_t bytes = 40 * kPage;
+    std::uint64_t h[2] = {s.alloc(bytes), s.alloc(bytes)};
+    SplitMix64 rng(seed);
+    for (int op = 0; op < 300; ++op) {
+        std::uint64_t handle = h[rng.next() % 2];
+        std::uint64_t off = rng.nextBelow(bytes);
+        std::uint64_t len =
+            std::min(1 + rng.nextBelow(24 * kPage), bytes - off);
+        std::uint64_t roll = rng.nextBelow(8);
+        if (roll < 2)
+            ASSERT_NO_FATAL_FAILURE(s.cpu(handle, off, len));
+        else if (roll == 2 && migrate)
+            ASSERT_NO_FATAL_FAILURE(s.migrate());
+        else
+            ASSERT_NO_FATAL_FAILURE(s.gpu(handle, off, len));
+    }
+}
+
+TEST(UvmOracle, SeededMixedWindowsAcrossTwoRegionsMatchPerPageUvm)
+{
+    for (EvictionKind kind : kEveryKind) {
+        SCOPED_TRACE(evictionKindName(kind));
+        for (std::uint64_t seed = 0; seed < 4; ++seed) {
+            UvmLockstep s(kDevicePages, kind);
+            ASSERT_NO_FATAL_FAILURE(mixedWindows(
+                s, exec::taskSeed(0x0ac1e'5eedull, seed), false));
+            EXPECT_GT(s.evictions(), 0u);
+        }
+    }
+}
+
+TEST(UvmOracle, CallLargerThanDeviceMemoryMatchesPerPageUvm)
+{
+    // One call names 2.5x device memory, so it evicts its own head
+    // pages, after a partial touch left older state behind.
+    constexpr std::uint64_t kPage = UvmLockstep::kPage;
+    for (EvictionKind kind : kEveryKind) {
+        SCOPED_TRACE(evictionKindName(kind));
+        UvmLockstep s(kDevicePages, kind);
+        const std::uint64_t bytes = kDevicePages * kPage * 5 / 2;
+        std::uint64_t h = s.alloc(bytes);
+        ASSERT_NO_FATAL_FAILURE(s.gpu(h, 10 * kPage, 20 * kPage));
+        ASSERT_NO_FATAL_FAILURE(s.gpu(h, 0, bytes));
+        ASSERT_NO_FATAL_FAILURE(s.gpu(h, 0, bytes));
+        ASSERT_NO_FATAL_FAILURE(s.cpu(h, 30 * kPage, 50 * kPage));
+        ASSERT_NO_FATAL_FAILURE(s.gpu(h, 5 * kPage, bytes - 5 * kPage));
+        EXPECT_GT(s.evictions(), 2 * kDevicePages);
+    }
+}
+
+TEST(UvmOracle, FreeOfPartlyResidentRegionMatchesPerPageUvm)
+{
+    constexpr std::uint64_t kPage = UvmLockstep::kPage;
+    for (EvictionKind kind : kEveryKind) {
+        SCOPED_TRACE(evictionKindName(kind));
+        UvmLockstep s(kDevicePages, kind);
+        std::uint64_t a = s.alloc(40 * kPage);
+        std::uint64_t b = s.alloc(40 * kPage);
+        ASSERT_NO_FATAL_FAILURE(s.gpu(a, 0, 40 * kPage));
+        ASSERT_NO_FATAL_FAILURE(s.gpu(b, 3 * kPage, 25 * kPage));
+        ASSERT_NO_FATAL_FAILURE(s.cpu(a, 12 * kPage, 6 * kPage));
+        ASSERT_NO_FATAL_FAILURE(s.free(a));
+        ASSERT_NO_FATAL_FAILURE(s.gpu(b, 0, 40 * kPage));
+        std::uint64_t c = s.alloc(30 * kPage);
+        ASSERT_NO_FATAL_FAILURE(s.gpu(c, 0, 30 * kPage));
+        ASSERT_NO_FATAL_FAILURE(s.free(b));
+        ASSERT_NO_FATAL_FAILURE(s.gpu(c, kPage / 2, 29 * kPage));
+        EXPECT_GT(s.evictions(), 0u);
+    }
+}
+
+TEST(UvmOracle, WiredEngineHearsPerPageOrder)
+{
+    // HotCold migration with a tight config: the engines see every
+    // eviction, residency flip and applied move, and must log the
+    // same events in the same order on both sides.
+    PolicyConfig cfg;
+    cfg.enabled = true;
+    cfg.migration = MigrationKind::HotCold;
+    cfg.migrationTuning.hotThreshold = 2;
+    cfg.migrationTuning.coldTicks = 4;
+    cfg.migrationTuning.maxMovesPerStep = 8;
+    for (EvictionKind kind : kEveryKind) {
+        SCOPED_TRACE(evictionKindName(kind));
+        cfg.eviction = kind;
+        for (std::uint64_t seed = 0; seed < 2; ++seed) {
+            UvmLockstep s(kDevicePages, kind, &cfg);
+            ASSERT_NO_FATAL_FAILURE(mixedWindows(
+                s, exec::taskSeed(0xe9c1'5eedull, seed), true));
+            ASSERT_NO_FATAL_FAILURE(s.free(1));
+            ASSERT_NO_FATAL_FAILURE(s.gpu(2, 0, 40 * UvmLockstep::kPage));
+            s.checkEngines();
+            EXPECT_GT(s.evictions(), 0u);
         }
     }
 }

@@ -157,6 +157,57 @@ TEST(Eviction, PredictiveOverflowClampsToNeverReused)
     EXPECT_EQ(pred.evict(), (PageKey{1, 1}));
 }
 
+TEST(Eviction, RunFormsKeepOneNodePerSameStateRun)
+{
+    // A million pages inserted as one run are one node; a touch in the
+    // middle splits it in three, and touching the rest re-merges.
+    LruEviction lru;
+    lru.insertRun({1, 0}, 1u << 20, 1);
+    EXPECT_EQ(lru.size(), 1u << 20);
+    EXPECT_EQ(lru.runCount(), 1u);
+    lru.touchRun({1, 100}, 50, 2);
+    EXPECT_EQ(lru.runCount(), 3u);
+    lru.touchRun({1, 0}, 100, 2);
+    EXPECT_EQ(lru.runCount(), 2u);
+    lru.touchRun({1, 150}, (1u << 20) - 150, 2);
+    EXPECT_EQ(lru.runCount(), 1u);
+    EXPECT_EQ(lru.evictRun(10), (PageRun{{1, 0}, 10}));
+    EXPECT_EQ(lru.evict(), (PageKey{1, 10}));
+
+    // Single-page calls at one tick coalesce too.
+    LfuEviction lfu;
+    PredictiveEviction pred;
+    for (std::uint64_t p = 0; p < 1000; ++p) {
+        lfu.insert({2, p}, 5);
+        pred.insert({2, p}, 5);
+    }
+    for (std::uint64_t p = 0; p < 1000; ++p) {
+        lfu.touch({2, p}, 6);
+        pred.touch({2, p}, 6);
+    }
+    EXPECT_EQ(lfu.runCount(), 1u);
+    EXPECT_EQ(pred.runCount(), 1u);
+    lfu.removeRun({2, 10}, 980);
+    EXPECT_EQ(lfu.runCount(), 2u);
+    EXPECT_EQ(lfu.size(), 20u);
+}
+
+TEST(Eviction, AdmitRunWithNoRoomEvictsAheadOfTheRun)
+{
+    // LFU with only frequency-2 pages tracked and no room: the first
+    // admitted page evicts one of them, every later one the admitted
+    // page before it (frequency 1 orders first).
+    LfuEviction lfu;
+    lfu.insertRun({1, 0}, 4, 1);
+    lfu.touchRun({1, 0}, 4, 2);
+    std::vector<PageRun> victims;
+    lfu.admitRun({1, 10}, 3, 3, 0, victims);
+    std::vector<PageRun> want{{{1, 0}, 1}, {{1, 10}, 2}};
+    EXPECT_EQ(victims, want);
+    EXPECT_EQ(lfu.size(), 4u);
+    EXPECT_TRUE(lfu.contains({1, 12}));
+}
+
 TEST(Eviction, MisusePanicsForEveryKind)
 {
     for (EvictionKind kind : kKinds) {
@@ -166,6 +217,20 @@ TEST(Eviction, MisusePanicsForEveryKind)
         EXPECT_THROW(ev->remove({1, 0}), SimError) << ev->name();
         ev->insert({1, 0}, 1);
         EXPECT_THROW(ev->insert({1, 0}, 2), SimError) << ev->name();
+    }
+}
+
+TEST(Eviction, RunMisusePanicsForEveryKind)
+{
+    // Pages 0-3 and 8-9 tracked: every run op that names page 5 (an
+    // untracked gap) or re-inserts page 9 must panic.
+    for (EvictionKind kind : kKinds) {
+        auto ev = makeEviction(kind, 1);
+        ev->insertRun({1, 0}, 4, 1);
+        ev->insertRun({1, 8}, 2, 1);
+        EXPECT_THROW(ev->touchRun({1, 2}, 4, 2), SimError) << ev->name();
+        EXPECT_THROW(ev->removeRun({1, 5}, 1), SimError) << ev->name();
+        EXPECT_THROW(ev->insertRun({1, 4}, 6, 2), SimError) << ev->name();
     }
 }
 
@@ -252,7 +317,7 @@ TEST(Engine, DefaultsLruAndOff)
     cfg.enabled = true;
     PolicyEngine engine(cfg);
     EXPECT_FALSE(engine.migrates());
-    EXPECT_EQ(engine.makeEvictionPolicy()->kind(), EvictionKind::Lru);
+    EXPECT_EQ(makeEviction(cfg.eviction, cfg.seed)->kind(), EvictionKind::Lru);
     EXPECT_EQ(engine.residentIn(Tier::Fast), 0u);
     EXPECT_EQ(engine.residentIn(Tier::Slow), 0u);
 }
