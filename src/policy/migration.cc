@@ -1,6 +1,7 @@
 #include "policy/migration.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 
@@ -14,40 +15,70 @@ MigrationPolicy::onResidentRange(PageKey first, std::uint64_t count,
         onResident({first.space, first.page + i}, tier);
 }
 
-HotColdMigration::Node *
-HotColdMigration::findLive(PageKey key)
+std::uint32_t
+HotColdMigration::findLive(PageKey key) const
 {
-    std::uint32_t id = index.find(key, keyOf());
-    if (id == kNil || !nodes[id].live)
-        return nullptr;
-    return &nodes[id];
+    std::uint32_t pos = index.find(key, keyOf());
+    return pos != kNil && nodes[pos].live ? pos : kNil;
+}
+
+void
+HotColdMigration::append(PageKey first, std::uint64_t count, Tier tier)
+{
+    // One pass per structure, not one page through all of them: a new
+    // managed region appends every page at once.
+    auto base = static_cast<std::uint32_t>(nodes.size());
+    for (std::uint64_t i = 0; i < count; ++i)
+        nodes.push_back(
+            Node{{first.space, first.page + i}, 0, 0, tier, true});
+    for (std::uint32_t pos = base; pos < nodes.size(); ++pos)
+        index.insert(nodes[pos].key, pos, keyOf());
+    hot.resize((nodes.size() + 63) / 64);
+    fast.resize(hot.size());
+    for (std::uint32_t pos = base; pos < nodes.size(); ++pos)
+        refresh(pos);
+    liveCount += count;
+    if (tier == Tier::Fast)
+        fastCount += count;
+}
+
+void
+HotColdMigration::refresh(std::uint32_t pos)
+{
+    const Node &node = nodes[pos];
+    std::uint64_t bit = 1ull << (pos % 64);
+    bool isFast = node.live && node.tier == Tier::Fast;
+    bool isHot = node.live && node.tier == Tier::Slow &&
+                 node.accesses >= cfg.hotThreshold;
+    hot[pos / 64] = isHot ? hot[pos / 64] | bit : hot[pos / 64] & ~bit;
+    fast[pos / 64] = isFast ? fast[pos / 64] | bit : fast[pos / 64] & ~bit;
 }
 
 void
 HotColdMigration::onResident(PageKey key, Tier tier)
 {
-    std::uint32_t id = index.find(key, keyOf());
-    if (id != kNil && nodes[id].live) {
-        Node &node = nodes[id];
+    std::uint32_t pos = index.find(key, keyOf());
+    if (pos == kNil) {
+        if (nodes.size() - liveCount > liveCount)
+            normalise();
+        if (!nodes.empty() && key < nodes.back().key)
+            sorted = false;
+        append(key, 1, tier);
+        return;
+    }
+    Node &node = nodes[pos];
+    if (node.live) {
         if (node.tier == tier)
             return;  // re-report in place; nothing moved
         if (node.tier == Tier::Fast)
             --fastCount;
         node.tier = tier;
         node.accesses = 0;
-    } else if (id != kNil) {
-        nodes[id] = Node{key, 0, 0, tier, true};  // revive in place
-        ++liveCount;
     } else {
-        if (nodes.size() - liveCount > liveCount)
-            normalise();
-        if (!nodes.empty() && key < nodes.back().key)
-            sorted = false;
-        nodes.push_back(Node{key, 0, 0, tier, true});
-        index.insert(key, static_cast<std::uint32_t>(nodes.size() - 1),
-                     keyOf());
+        node = Node{key, 0, 0, tier, true};  // revive in place
         ++liveCount;
     }
+    refresh(pos);
     if (tier == Tier::Fast)
         ++fastCount;
 }
@@ -56,13 +87,20 @@ void
 HotColdMigration::onResidentRange(PageKey first, std::uint64_t count,
                                   Tier tier)
 {
-    // One allocation each rather than a doubling series: a new managed
-    // region reports every page at once.
+    if (!sorted || (!nodes.empty() && !(nodes.back().key < first))) {
+        MigrationPolicy::onResidentRange(first, count, tier);
+        return;
+    }
+    // Every key of the range is new and lands after the last node, dead
+    // ones included, so the range appends in order. Size the vector and
+    // the index once rather than by doubling.
+    if (nodes.size() - liveCount > liveCount)
+        normalise();
     std::uint64_t want = nodes.size() + count;
     if (want > nodes.capacity())
         nodes.reserve(std::max<std::uint64_t>(want, 2 * nodes.capacity()));
     index.reserve(index.size() + count, keyOf());
-    MigrationPolicy::onResidentRange(first, count, tier);
+    append(first, count, tier);
 }
 
 void
@@ -70,23 +108,27 @@ HotColdMigration::onRemove(PageKey key)
 {
     // Untracked keys are tolerated: callers may report removals for
     // pages that predate the engine being wired.
-    Node *node = findLive(key);
-    if (node == nullptr)
+    std::uint32_t pos = findLive(key);
+    if (pos == kNil)
         return;
-    if (node->tier == Tier::Fast)
+    if (nodes[pos].tier == Tier::Fast)
         --fastCount;
-    node->live = false;
+    nodes[pos].live = false;
+    refresh(pos);
     --liveCount;
 }
 
 void
 HotColdMigration::onAccess(PageKey key, std::uint64_t tick)
 {
-    Node *node = findLive(key);
-    if (node == nullptr)
+    std::uint32_t pos = findLive(key);
+    if (pos == kNil)
         return;
-    ++node->accesses;
-    node->lastTick = tick;
+    Node &node = nodes[pos];
+    node.lastTick = tick;
+    // The hot bit changes only where the count crosses the threshold.
+    if (++node.accesses == cfg.hotThreshold)
+        refresh(pos);
 }
 
 void
@@ -101,8 +143,12 @@ HotColdMigration::normalise()
         sorted = true;
     }
     index.clear();
-    for (std::uint32_t i = 0; i < nodes.size(); ++i)
+    hot.assign((nodes.size() + 63) / 64, 0);
+    fast.assign(hot.size(), 0);
+    for (std::uint32_t i = 0; i < nodes.size(); ++i) {
         index.insert(nodes[i].key, i, keyOf());
+        refresh(i);
+    }
 }
 
 std::vector<MigrationAction>
@@ -111,21 +157,28 @@ HotColdMigration::decide(std::uint64_t tick)
     if (!sorted || nodes.size() - liveCount > liveCount)
         normalise();
     std::vector<MigrationAction> actions;
+    if (cfg.maxMovesPerStep == 0)
+        return actions;
     // Promotions first: the fast tier is where accesses are cheap, so
-    // hot pages take priority over housekeeping demotions.
-    for (const Node &node : nodes) {
-        if (actions.size() >= cfg.maxMovesPerStep)
-            return actions;
-        if (node.live && node.tier == Tier::Slow &&
-            node.accesses >= cfg.hotThreshold)
-            actions.push_back({node.key, Tier::Fast});
+    // hot pages take priority over housekeeping demotions. Bit order
+    // is position order, which is key order once sorted.
+    for (std::size_t w = 0; w < hot.size(); ++w) {
+        for (std::uint64_t bits = hot[w]; bits != 0; bits &= bits - 1) {
+            std::size_t pos = 64 * w + std::countr_zero(bits);
+            actions.push_back({nodes[pos].key, Tier::Fast});
+            if (actions.size() >= cfg.maxMovesPerStep)
+                return actions;
+        }
     }
-    for (const Node &node : nodes) {
-        if (actions.size() >= cfg.maxMovesPerStep)
-            return actions;
-        if (node.live && node.tier == Tier::Fast &&
-            tick - node.lastTick >= cfg.coldTicks)
+    for (std::size_t w = 0; w < fast.size(); ++w) {
+        for (std::uint64_t bits = fast[w]; bits != 0; bits &= bits - 1) {
+            const Node &node = nodes[64 * w + std::countr_zero(bits)];
+            if (tick - node.lastTick < cfg.coldTicks)
+                continue;
             actions.push_back({node.key, Tier::Slow});
+            if (actions.size() >= cfg.maxMovesPerStep)
+                return actions;
+        }
     }
     return actions;
 }

@@ -16,12 +16,16 @@
  *
  * HotColdMigration keeps one node per tracked page in a key-sorted
  * vector and finds a key's node through a PageIndex (page_index.hh),
- * so decide() is a linear scan and the per-access callbacks are one
- * index probe. A removed page leaves a dead node behind, which its
- * re-insert revives in place -- the remove-then-re-add cycle every
- * uvm eviction reports keeps the vector sorted. Only a genuinely new
- * key below the current last one breaks the order; decide() then
- * re-sorts once, and drops dead nodes when they outnumber live ones.
+ * so the per-access callbacks are one index probe. Two bitsets over
+ * vector positions mark the promotion-eligible (hot) and fast-tier
+ * nodes, so decide() walks set bits in key order and costs the bitset
+ * words plus the moves it returns plus the fast nodes it checks for
+ * coldness, never a pass over every node. A removed page leaves a
+ * dead node behind, which its re-insert revives in place -- the
+ * remove-then-re-add cycle every uvm eviction reports keeps the
+ * vector sorted. Only a genuinely new key below the current last one
+ * breaks the order; decide() then re-sorts once, and drops dead nodes
+ * when they outnumber live ones.
  */
 
 #ifndef UPM_POLICY_MIGRATION_HH
@@ -108,7 +112,7 @@ class NullMigration : public MigrationPolicy
  * promotion-eligible; a fast-tier page untouched for
  * MigrationConfig::coldTicks ticks is demotion-eligible. Each
  * decide() proposes at most maxMovesPerStep actions, promotions
- * first, both scanned in ascending PageKey order.
+ * first, both in ascending PageKey order.
  */
 class HotColdMigration : public MigrationPolicy
 {
@@ -119,7 +123,8 @@ class HotColdMigration : public MigrationPolicy
     }
 
     void onResident(PageKey key, Tier tier) override;
-    /** Sizes the node vector and the index for the range first. */
+    /** Appends the range in one step when it lies above every
+     *  tracked key; otherwise reports it page by page. */
     void onResidentRange(PageKey first, std::uint64_t count,
                          Tier tier) override;
     void onRemove(PageKey key) override;
@@ -147,15 +152,26 @@ class HotColdMigration : public MigrationPolicy
     {
         return [this](std::uint32_t i) { return nodes[i].key; };
     }
-    /** Live node of @p key, or nullptr. */
-    Node *findLive(PageKey key);
-    /** Drop dead nodes and restore key order; rebuilds the index. */
+    /** Position of @p key's live node, or kNil. */
+    std::uint32_t findLive(PageKey key) const;
+    /** Append live nodes for pages [first, first+count), none of them
+     *  in the index. */
+    void append(PageKey first, std::uint64_t count, Tier tier);
+    /** Recompute both bits of the node at @p pos from its state. */
+    void refresh(std::uint32_t pos);
+    /** Drop dead nodes and restore key order; rebuilds the index and
+     *  the bitsets. */
     void normalise();
 
     MigrationConfig cfg;
     /** Key-sorted unless `sorted` is false; dead nodes interleaved. */
     std::vector<Node> nodes;
     PageIndex index;  //!< key -> position in nodes, dead ones included
+    /** Bit i: nodes[i] is live, slow and has at least hotThreshold
+     *  accesses, i.e. a promotion to propose. */
+    std::vector<std::uint64_t> hot;
+    /** Bit i: nodes[i] is live and fast (a demotion candidate). */
+    std::vector<std::uint64_t> fast;
     std::uint64_t liveCount = 0;
     std::uint64_t fastCount = 0;
     bool sorted = true;

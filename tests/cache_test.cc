@@ -1,20 +1,20 @@
 /**
  * @file
- * Tests for the cache module: functional set-associative cache, the
- * analytic hierarchy (validated against the functional model), the
- * Infinity Cache slice model, the coherence directory, and the atomic
- * unit queue maths.
+ * Tests for the cache module: the test-only functional set-associative
+ * cache (set_assoc_cache.hh), the analytic hierarchy (validated
+ * against the functional model), the Infinity Cache slice model, the
+ * coherence directory, and the atomic unit queue maths.
  */
 
 #include <gtest/gtest.h>
 
 #include "cache/atomic_unit.hh"
-#include "cache/cache.hh"
 #include "cache/directory.hh"
 #include "cache/hierarchy.hh"
 #include "cache/infinity_cache.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
+#include "set_assoc_cache.hh"
 
 namespace upm::cache {
 namespace {

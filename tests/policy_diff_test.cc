@@ -25,7 +25,9 @@
  * wrap-around deletes against a std::map mirror. A third oracle, a
  * verbatim copy of the std::map HotColdMigration the sorted node
  * vector replaced, must agree with today's on every decide() and
- * residentIn() under seeded callback streams.
+ * residentIn() under seeded callback streams, under a drain of
+ * decide() over tens of thousands of keys, and whether a region is
+ * reported through onResidentRange() or page by page.
  */
 
 #include <gtest/gtest.h>
@@ -1415,6 +1417,209 @@ TEST(PolicyDiff, HotColdMatchesRetiredMapAcrossSeeds)
                                MigrationConfig{});
         hotColdDifferentialRun(exec::taskSeed(0x407c'01d5ull, 16 + s),
                                tight);
+    }
+}
+
+/** HotColdMigration beside the map oracle: every call goes to both. */
+struct HotColdPair
+{
+    explicit HotColdPair(const MigrationConfig &cfg) : real(cfg), ref(cfg)
+    {
+    }
+
+    template <typename Call>
+    void
+    both(Call &&call)
+    {
+        call(static_cast<MigrationPolicy &>(real));
+        call(static_cast<MigrationPolicy &>(ref));
+    }
+
+    /** decide() on both; the vectors must match. Applies every action
+     *  when @p apply. */
+    std::vector<MigrationAction>
+    step(std::uint64_t tick, bool apply)
+    {
+        std::vector<MigrationAction> got = real.decide(tick);
+        EXPECT_EQ(got, ref.decide(tick)) << "tick " << tick;
+        EXPECT_EQ(real.residentIn(Tier::Fast), ref.residentIn(Tier::Fast));
+        EXPECT_EQ(real.residentIn(Tier::Slow), ref.residentIn(Tier::Slow));
+        if (apply) {
+            for (const MigrationAction &a : got)
+                both([&](MigrationPolicy &m) { m.onResident(a.key, a.to); });
+        }
+        return got;
+    }
+
+    HotColdMigration real;
+    MapHotColdMigration ref;
+};
+
+/** About 40k keys over two spaces, so the eligibility bits span many
+ *  words; one out-of-order insert forces a re-sort and a dead majority
+ *  forces a compaction, each shifting node positions under the bits.
+ *  Then decide() is drained, every action applied, and each vector
+ *  compared with the map oracle. */
+void
+hotColdDrainRun(const MigrationConfig &cfg)
+{
+    constexpr std::uint64_t kPages = 20000;
+    HotColdPair pair(cfg);
+    SplitMix64 rng(0xd7a1'4b17ull);
+    std::uint64_t tick = 100;
+    std::vector<PageKey> keys;
+    for (std::uint64_t space = 1; space <= 2; ++space) {
+        for (std::uint64_t p = 0; p < kPages; ++p) {
+            // Space 1 takes even pages only, leaving room for the
+            // out-of-order key below.
+            PageKey key{space, space == 1 ? 2 * p : p};
+            Tier tier = rng.next() % 3 == 0 ? Tier::Fast : Tier::Slow;
+            pair.both([&](MigrationPolicy &m) { m.onResident(key, tier); });
+            keys.push_back(key);
+        }
+    }
+    // A new key below the last one: the vector is no longer sorted.
+    PageKey late{1, kPages + 1};
+    pair.both([&](MigrationPolicy &m) { m.onResident(late, Tier::Slow); });
+    keys.push_back(late);
+
+    // 0-5 accesses per key at scattered ticks, so both thresholds and
+    // coldness vary key by key.
+    auto accessSome = [&]() {
+        for (const PageKey &key : keys) {
+            std::uint64_t n = rng.next() % 6;
+            for (std::uint64_t i = 0; i < n; ++i) {
+                std::uint64_t at = tick - rng.next() % 32;
+                pair.both([&](MigrationPolicy &m) { m.onAccess(key, at); });
+            }
+        }
+    };
+    accessSome();
+    pair.step(tick, true);  // re-sorts, then proposes
+
+    // Remove 70% of the keys: the next decide() compacts.
+    std::vector<PageKey> kept;
+    for (const PageKey &key : keys) {
+        if (rng.next() % 10 < 7)
+            pair.both([&](MigrationPolicy &m) { m.onRemove(key); });
+        else
+            kept.push_back(key);
+    }
+    keys = std::move(kept);
+    tick += 8;
+    accessSome();
+
+    // Drain at one tick. With hotThreshold 0 a demoted page is hot
+    // again at once, so moves never stop; a step cap bounds those.
+    int steps = 0;
+    while (steps < 400 && !pair.step(tick, true).empty())
+        ++steps;
+    if (cfg.hotThreshold > 0 && cfg.maxMovesPerStep >= 64) {
+        EXPECT_LT(steps, 400) << "drain did not quiesce";
+    }
+    // After the drain, later ticks turn the remaining fast pages cold.
+    for (std::uint64_t later : {tick + 15, tick + 40})
+        pair.step(later, true);
+}
+
+TEST(PolicyDiff, HotColdDrainMatchesRetiredMap)
+{
+    for (std::uint64_t threshold : {0u, 1u, 4u}) {
+        for (std::uint64_t cap : {0u, 1u, 64u}) {
+            for (std::uint64_t cold : {0u, 16u}) {
+                MigrationConfig cfg;
+                cfg.hotThreshold = threshold;
+                cfg.maxMovesPerStep = cap;
+                cfg.coldTicks = cold;
+                SCOPED_TRACE(::testing::Message()
+                             << "hotThreshold " << threshold
+                             << " maxMovesPerStep " << cap
+                             << " coldTicks " << cold);
+                hotColdDrainRun(cfg);
+                if (::testing::Test::HasFailure())
+                    return;
+            }
+        }
+    }
+}
+
+/** One HotColdMigration told of ranges through onResidentRange,
+ *  another page by page through onResident, and the map oracle: every
+ *  decide() and residentIn() must agree across all three. */
+void
+hotColdRangeRun(const MigrationConfig &cfg)
+{
+    HotColdMigration bulk(cfg), perPage(cfg);
+    MapHotColdMigration ref(cfg);
+    std::uint64_t tick = 50;
+    auto all = [&](auto &&call) {
+        call(static_cast<MigrationPolicy &>(bulk));
+        call(static_cast<MigrationPolicy &>(perPage));
+        call(static_cast<MigrationPolicy &>(ref));
+    };
+    auto report = [&](PageKey first, std::uint64_t count, Tier tier) {
+        bulk.onResidentRange(first, count, tier);
+        for (std::uint64_t i = 0; i < count; ++i) {
+            PageKey key{first.space, first.page + i};
+            perPage.onResident(key, tier);
+            ref.onResident(key, tier);
+        }
+    };
+    // Touch every 3rd page of [first, first+count) enough to be hot,
+    // then decide and apply twice: once now, once when it is all cold.
+    auto exercise = [&](PageKey first, std::uint64_t count) {
+        for (std::uint64_t i = 0; i < count; i += 3) {
+            PageKey key{first.space, first.page + i};
+            for (std::uint64_t n = 0; n < cfg.hotThreshold + 1; ++n)
+                all([&](MigrationPolicy &m) { m.onAccess(key, tick); });
+        }
+        for (std::uint64_t at : {tick, tick + cfg.coldTicks + 1}) {
+            std::vector<MigrationAction> got = bulk.decide(at);
+            EXPECT_EQ(got, perPage.decide(at)) << "tick " << at;
+            EXPECT_EQ(got, ref.decide(at)) << "tick " << at;
+            for (Tier tier : {Tier::Fast, Tier::Slow}) {
+                EXPECT_EQ(bulk.residentIn(tier), perPage.residentIn(tier));
+                EXPECT_EQ(bulk.residentIn(tier), ref.residentIn(tier));
+            }
+            for (const MigrationAction &a : got)
+                all([&](MigrationPolicy &m) { m.onResident(a.key, a.to); });
+        }
+        tick += cfg.coldTicks + 2;
+    };
+
+    // Above every key, into an empty policy and then after it.
+    report({3, 0}, 300, Tier::Slow);
+    exercise({3, 0}, 300);
+    report({3, 300}, 200, Tier::Fast);
+    exercise({3, 200}, 300);
+    // Below every key: a lower space.
+    report({2, 0}, 150, Tier::Slow);
+    exercise({2, 0}, 150);
+    // Over dead nodes: the tail of space 3 dies, and a range starting
+    // above the last live key still overlaps the dead ones.
+    for (std::uint64_t p = 420; p < 500; ++p)
+        all([&](MigrationPolicy &m) { m.onRemove({3, p}); });
+    report({3, 450}, 100, Tier::Slow);
+    exercise({3, 400}, 150);
+    // A dead majority, then a range above every key: the bulk path
+    // compacts before it appends.
+    for (std::uint64_t p = 0; p < 400; ++p)
+        all([&](MigrationPolicy &m) { m.onRemove({3, p}); });
+    report({4, 10}, 130, Tier::Slow);
+    exercise({4, 10}, 130);
+    report({4, 140}, 70, Tier::Fast);
+    exercise({2, 0}, 1000);
+}
+
+TEST(PolicyDiff, HotColdResidentRangeMatchesPerPage)
+{
+    for (std::uint64_t threshold : {0u, 2u}) {
+        MigrationConfig cfg;
+        cfg.hotThreshold = threshold;
+        cfg.coldTicks = 4;
+        cfg.maxMovesPerStep = 64;
+        SCOPED_TRACE(::testing::Message() << "hotThreshold " << threshold);
+        hotColdRangeRun(cfg);
     }
 }
 
